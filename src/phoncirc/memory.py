@@ -18,12 +18,19 @@ equation, where the mirror round trip takes a time delta_f, the mirror
 phase clock may lag the input shifter by delta_m, and the cavity-detuning
 clock by delta_c.  :func:`optimize_delays` grid-searches the two lags.
 
-Integration is a fixed-step classical Runge-Kutta scheme; delayed values
-come from a ring-buffer history with 4-point cubic interpolation and the
-step is chosen commensurate with the delay so history lookups land on
-stored nodes.  :func:`single_excitation_oracle` provides an independent
-check of the transfer fidelity via a beam-splitter collision model in the
-single-excitation sector.
+Integration is fixed-step classical Runge-Kutta.  Because the equation is
+linear in A, one RK4 step is exactly the affine map a[i+1] = P[i] a[i] + Q[i]:
+P depends only on time and the detuning lag, Q on the input and the delayed
+history.  Coefficient tables are built for a block of steps at a time as
+whole-array expressions, and a single step loop applies the two-operation
+update.  A block is min(n_sub - 1, 256, max(1, 16384 // cells)) steps long
+(no n_sub - 1 term without a delay), where n_sub is the delay in steps and
+cells the size of the lag grid; the step is chosen commensurate with the
+delay, so the history a block needs is already stored in a ring buffer and
+its half-step values come from 4-point cubic interpolation.  The delay-free
+path stays real-valued.  :func:`single_excitation_oracle` provides an
+independent check of the transfer fidelity via a beam-splitter collision
+model in the single-excitation sector.
 """
 
 from __future__ import annotations
@@ -101,6 +108,12 @@ def critical_time(ratio: float, kappa_e: float) -> float:
     return profile_constants(ratio).tau_c / kappa_e
 
 
+def _rolloff(rho: float, a1: float, a2: float, tau: np.ndarray) -> np.ndarray:
+    """Interference-matched coupling kappa/kappa_e at times past tau_c."""
+    w = np.exp(-rho * tau)
+    return rho * w / (a1 - a2 * w)
+
+
 def optimal_coupling(ratio: float, tau) -> np.ndarray | float:
     """Optimal output coupling kappa/kappa_e at dimensionless time tau.
 
@@ -112,8 +125,7 @@ def optimal_coupling(ratio: float, tau) -> np.ndarray | float:
     tau_arr = np.asarray(tau, dtype=float)
     out = np.full(tau_arr.shape, MAX_COUPLING_RATIO)
     late = tau_arr > tau_c
-    w = np.exp(-rho * tau_arr[late])
-    out[late] = rho * w / (a1 - a2 * w)
+    out[late] = _rolloff(rho, a1, a2, tau_arr[late])
     return float(out) if np.isscalar(tau) else out
 
 
@@ -133,15 +145,7 @@ def phase_from_coupling(kappa_ratio) -> np.ndarray | float:
 
 def optimal_phase(ratio: float, tau) -> np.ndarray | float:
     """Optimal phase profile theta(tau): 0 before tau_c, arccos roll-off after."""
-    rho = _check_ratio(ratio)
-    a1, a2, tau_c = profile_constants(rho)
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.zeros_like(tau_arr)
-    late = tau_arr > tau_c
-    if np.any(late):
-        w = np.exp(-rho * tau_arr[late])
-        out[late] = phase_from_coupling(rho * w / (a1 - a2 * w))
-    return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
+    return optimal_profile(ratio).theta(tau)
 
 
 @dataclass(frozen=True)
@@ -153,16 +157,13 @@ class OptimalProfile:
     a2: float
     tau_c: float
 
-    mode = "closed_form"
-    kappa_max_ratio = MAX_COUPLING_RATIO
-
     def theta(self, tau):
         tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
         out = np.zeros_like(tau_arr)
         late = tau_arr > self.tau_c
         if np.any(late):
-            w = np.exp(-self.ratio * tau_arr[late])
-            out[late] = phase_from_coupling(self.ratio * w / (self.a1 - self.a2 * w))
+            out[late] = phase_from_coupling(
+                _rolloff(self.ratio, self.a1, self.a2, tau_arr[late]))
         return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
 
 
@@ -185,8 +186,6 @@ class SampledProfile:
     tau_c: float
     a1: float = math.nan
     a2: float = math.nan
-
-    mode = "sampled"
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -235,12 +234,15 @@ def discretize_profile(profile, slope_cap: float = 23.0,
             f"cap {slope_cap} cannot reach pi - 0.01 within horizon {horizon}")
     dt = 0.1 * tau_c
     taus = [0.0, tau_c]
-    thetas = [0.0, 0.0]
-    t, th = tau_c, 0.0
+    t = tau_c
     while t < horizon:
         t += dt
-        th = min(float(profile.theta(t)), th + slope_cap * dt)
         taus.append(t)
+    targets = np.asarray(profile.theta(np.array(taus[2:])), dtype=float).tolist()
+    thetas = [0.0, 0.0]
+    th = 0.0
+    for target in targets:
+        th = min(target, th + slope_cap * dt)
         thetas.append(th)
     return SampledProfile(np.array(taus), np.array(thetas), tau_c=tau_c,
                           a1=getattr(profile, "a1", math.nan),
@@ -355,50 +357,6 @@ def _ode_step_count(horizon: float, h: float) -> int:
     return int(math.ceil(horizon / h - 1e-9))
 
 
-def simulate_transfer(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
-    """Integrate the delay-free transfer and return |A(horizon)|^2 and losses.
-
-    `profile` is anything with a vectorizable ``theta(tau)`` (an
-    :class:`OptimalProfile` or :class:`SampledProfile`).
-    """
-    rho = config.ratio
-    ki = config.kappa_i / config.kappa_e
-    h = _DEFAULT_STEP if step is None else float(step)
-    n = _ode_step_count(config.horizon, h)
-    # coefficients on the half-step grid; RK4 stages only ever sample there
-    tg = np.arange(2 * n + 1) * (h / 2.0)
-    chalf = np.cos(np.asarray(profile.theta(tg), dtype=float) / 2.0)
-    decay = 0.5 * (4.0 * chalf**2 + ki)
-    pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
-    drive = 2.0 * chalf * pump
-    amp = np.empty(n + 1, dtype=complex)
-    amp[0] = 0.0
-    a = 0.0 + 0.0j
-    refl = 0.0
-    intr = 0.0
-
-    def rhs(j, aj):
-        da = -decay[j] * aj - drive[j]
-        out = pump[j] + 2.0 * chalf[j] * aj
-        return da, (out.real * out.real + out.imag * out.imag), abs(aj) ** 2
-
-    for i in range(n):
-        m = 2 * i
-        k1, r1, q1 = rhs(m, a)
-        k2, r2, q2 = rhs(m + 1, a + 0.5 * h * k1)
-        k3, r3, q3 = rhs(m + 1, a + 0.5 * h * k2)
-        k4, r4, q4 = rhs(m + 2, a + h * k3)
-        a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        refl += h / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        intr += ki * h / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        amp[i + 1] = a
-    if not np.isfinite(a.real) or not np.isfinite(a.imag):
-        raise IntegrationError("non-finite amplitude; reduce the step size")
-    return TransferResult(fidelity=abs(a) ** 2, tau=np.arange(n + 1) * h,
-                          amplitude=amp, reflected_fraction=refl,
-                          intrinsic_fraction=intr)
-
-
 def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
     """Step size commensurate with the delay, and the delay in steps."""
     h0 = _DEFAULT_STEP if step is None else float(step)
@@ -411,90 +369,216 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
     return lag / n_sub, n_sub
 
 
-def _integrate_delay(profile, rho: float, ki: float, lag: float,
-                     dm_tau: np.ndarray, dc_tau: np.ndarray, horizon: float,
-                     step: float | None, record: bool):
-    """Vectorized retarded integration over a (dm, dc) lag grid.
+# --- coefficient tables -----------------------------------------------------
+#
+# Both builders describe the linear equation dA/dtau = c A - f on the
+# half-step grid tau = k h / 2 that the RK4 stages visit: `coefficient(s)`
+# returns c and `forcing(s, taps)` returns f on the half-step slice s of a
+# block, and `output(s, f, y)` the outgoing field of a stage with forcing f
+# and state y.  Time-only tables are built once; tables that depend on the
+# cavity history are built one block at a time.
 
-    Returns (fidelity_grid, tau, amplitude, reflected, intrinsic); the last
-    three are None unless `record` (single-cell mode).
+class _FreeTables:
+    """Delay-free tables; real-valued, so the trajectory stays real."""
+
+    n_sub = 0
+    shape = ()
+
+    def __init__(self, profile, rho: float, ki: float, h: float, n: int):
+        tg = np.arange(2 * n + 1) * (h / 2.0)
+        self.ki = ki
+        self.chalf = np.cos(np.asarray(profile.theta(tg), dtype=float) / 2.0)
+        self.decay = -0.5 * (4.0 * self.chalf**2 + ki)
+        self.pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
+        self.drive = 2.0 * self.chalf * self.pump
+
+    def coefficient(self, s):
+        return self.decay[s]
+
+    def forcing(self, s, taps):
+        return self.drive[s]
+
+    def output(self, s, f, y):
+        return self.pump[s] + 2.0 * self.chalf[s] * y
+
+
+class _RetardedTables:
+    """Complex tables of the retarded equation over a (dm, dc) lag grid.
+
+    Per-time tables carry two trailing unit axes and the lag tables one, so
+    that every block broadcasts to (steps, len(dm), len(dc)).
     """
-    h, n_sub = _delay_step(lag, step)
-    n = _ode_step_count(horizon, h)
-    nm, nc = len(dm_tau), len(dc_tau)
 
-    theta = profile.theta
-    tg = np.arange(2 * n + 1) * (h / 2.0)
-    # scalar (per-time) coefficient tables on the half-step grid
-    e_dir = np.exp(-0.5j * np.asarray(theta(tg), dtype=float))
-    pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
-    drive = e_dir * pump
-    td = tg - lag
-    # the retarded input enters through the exact shifted exponential
-    pump_del = np.sqrt(rho) * np.exp(-0.5 * rho * td)
-    echo_in = np.exp(-0.5j * np.asarray(theta(td), dtype=float)) * pump_del
-    # per-lag coefficient tables (outer-product structure of the grid)
-    sin_dc = np.sin(np.asarray(theta(tg[:, None] - dc_tau[None, :]), dtype=float))
-    coef = 1j * sin_dc - (1.0 + 0.5 * ki)                       # (2n+1, nc)
-    e_mir = np.exp(1j * np.asarray(
-        theta(tg[:, None] - 0.5 * lag - dm_tau[None, :]), dtype=float))  # (2n+1, nm)
+    def __init__(self, profile, rho: float, ki: float, lag: float, n_sub: int,
+                 dm_tau: np.ndarray, dc_tau: np.ndarray, h: float, n: int):
+        self.ki, self.n_sub = ki, n_sub
+        self.shape = (len(dm_tau), len(dc_tau))
+        theta = profile.theta
+        tg = np.arange(2 * n + 1) * (h / 2.0)
+        e_dir = np.exp(-0.5j * np.asarray(theta(tg), dtype=float))
+        pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
+        td = tg - lag
+        # the retarded input enters through the exact shifted exponential
+        pump_del = np.sqrt(rho) * np.exp(-0.5 * rho * td)
+        echo_in = np.exp(-0.5j * np.asarray(theta(td), dtype=float)) * pump_del
+        sin_dc = np.sin(np.asarray(theta(tg[:, None] - dc_tau[None, :]), dtype=float))
+        e_mir = np.exp(1j * np.asarray(
+            theta(tg[:, None] - 0.5 * lag - dm_tau[None, :]), dtype=float))
+        self.e_dir = e_dir[:, None, None]
+        self.drive = (e_dir * pump)[:, None, None]
+        self.echo_in = echo_in[:, None, None]
+        self.coef = (1j * sin_dc - (1.0 + 0.5 * ki))[:, None, :]
+        self.e_mir = e_mir[:, :, None]
 
-    a = np.zeros((nm, nc), dtype=complex)
-    buf_len = n_sub + 4
-    ring = np.zeros((buf_len, nm, nc), dtype=complex)
-    zero = np.zeros((nm, nc), dtype=complex)
-    w_mid = (-1.0 / 16.0, 9.0 / 16.0, 9.0 / 16.0, -1.0 / 16.0)
+    def coefficient(self, s):
+        if self.n_sub:
+            return self.coef[s]
+        # zero-lag limit: the delayed state is the stage state
+        return self.coef[s] - self.e_mir[s]
 
-    amp = np.empty(n + 1, dtype=complex) if record else None
-    if record:
-        amp[0] = 0.0
-    refl = 0.0
-    intr = 0.0
-    current = 0
+    def forcing(self, s, taps):
+        e_mir = self.e_mir[s]
+        known = e_mir * self.echo_in[s] + self.drive[s]
+        if taps is None:
+            return known
+        # taps hold the history at steps j-1 .. j+nb+1 (j = i - n_sub): the
+        # even half-steps read stored nodes, the odd ones cubic midpoints
+        nb = len(taps) - 3
+        delayed = np.empty((2 * nb + 1,) + taps.shape[1:], dtype=complex)
+        delayed[0::2] = taps[1:nb + 2]
+        mid = delayed[1::2]
+        np.add(taps[:nb], taps[3:], out=mid)
+        mid *= -1.0 / 16.0
+        mid += 9.0 / 16.0 * (taps[1:nb + 1] + taps[2:nb + 2])
+        delayed *= e_mir
+        delayed += known
+        return delayed
 
-    def hist(k: int) -> np.ndarray:
-        if k < 0:
-            return zero
-        if k < current - buf_len + 1:
-            raise HistoryUnderrun(f"lookup {k} steps behind a {buf_len}-slot buffer")
-        return ring[k % buf_len]
+    def output(self, s, f, y):
+        echo = f - self.drive[s]
+        if not self.n_sub:
+            echo = echo + self.e_mir[s] * y
+        return self.e_dir[s] * (echo + y)
 
-    def rhs(jj, aj, ad):
-        if ad is None:
-            ad = aj  # zero-lag limit: the delayed state is the stage state
-        echo = e_mir[jj][:, None] * (echo_in[jj] + ad)
-        da = coef[jj][None, :] * aj - echo - drive[jj]
+
+# --- the step loop ----------------------------------------------------------
+
+def _block_length(cells: int, n_sub: int) -> int:
+    """Steps per block: the history a block reads must already be stored."""
+    block = min(256, max(1, 16384 // cells))
+    return min(block, n_sub - 1) if n_sub else block
+
+
+def _step_map(c: np.ndarray, f: np.ndarray, h: float):
+    """(P, Q) of a[i+1] = P a[i] + Q for each RK4 step of a block.
+
+    c and f are sampled on the block's 2 nb + 1 half-steps; the forcing folds
+    into three weights, Q = -(beta0 f0 + beta1 f1 + h/6 f2).
+    """
+    hc0, hc1, hc2 = h * c[:-1:2], h * c[1::2], h * c[2::2]
+    half = 1.0 + 0.5 * hc0
+    p = 1.0 + (hc0 + 2.0 * hc1 * half + (2.0 + hc2) * hc1 * (1.0 + 0.5 * hc1 * half)
+               + hc2) / 6.0
+    beta0 = h / 6.0 * (1.0 + hc1 + 0.25 * (2.0 + hc2) * hc1 * hc1)
+    beta1 = h / 6.0 * (2.0 + (2.0 + hc2) * (1.0 + 0.5 * hc1))
+    q = -beta0 * f[:-1:2]
+    q -= beta1 * f[1::2]
+    q -= h / 6.0 * f[2::2]
+    return p, q
+
+
+def _quadratures(tables, s, c, f, y1, h: float) -> tuple[float, float]:
+    """Reflected and intrinsic energy of a block from its RK4 stage states."""
+    m = s.start
+    odd = slice(m + 1, s.stop - 1, 2)
+    y2 = y1 + 0.5 * h * (c[:-1:2] * y1 - f[:-1:2])
+    y3 = y1 + 0.5 * h * (c[1::2] * y2 - f[1::2])
+    y4 = y1 + h * (c[1::2] * y3 - f[1::2])
+    outs = (tables.output(slice(m, s.stop - 2, 2), f[:-1:2], y1),
+            tables.output(odd, f[1::2], y2), tables.output(odd, f[1::2], y3),
+            tables.output(slice(m + 2, s.stop, 2), f[2::2], y4))
+    weights = (1.0, 2.0, 2.0, 1.0)
+    refl = sum(w * np.sum(np.abs(o) ** 2) for w, o in zip(weights, outs))
+    intr = sum(w * np.sum(np.abs(y) ** 2) for w, y in zip(weights, (y1, y2, y3, y4)))
+    return h / 6.0 * float(refl), tables.ki * h / 6.0 * float(intr)
+
+
+def _integrate(tables, h: float, n: int, record: bool):
+    """Run n RK4 steps of the tables' equation from A = 0, a block at a time.
+
+    Returns (final_amplitude, amplitude, reflected, intrinsic); the last three
+    are None/0 unless `record` (single-cell mode).
+    """
+    shape, n_sub = tables.shape, tables.n_sub
+    cells = math.prod(shape)
+    block = _block_length(cells, n_sub)
+    scalar = cells == 1
+    slots = n_sub + block + 4
+    # zeroed, so history before tau = 0 reads 0 without a mask
+    ring = np.zeros((slots,) + shape, dtype=complex) if n_sub else None
+    amp = np.zeros(n + 1, dtype=complex) if record else None
+    a = 0.0 if scalar else np.zeros(shape, dtype=complex)
+    refl = intr = 0.0
+    for i in range(0, n, block):
+        nb = min(block, n - i)
+        taps = None
+        if n_sub:
+            oldest, newest = i - n_sub - 1, i - n_sub + nb + 1
+            if oldest <= i - slots or newest > i:
+                raise HistoryUnderrun(
+                    f"steps {oldest}..{newest} are outside a {slots}-slot buffer at step {i}")
+            taps = ring[np.arange(oldest, newest + 1) % slots]
+        s = slice(2 * i, 2 * (i + nb) + 1)
+        c = tables.coefficient(s)
+        f = tables.forcing(s, taps)
+        p, q = _step_map(c, f, h)
+        if scalar:
+            # Python numbers make the two-operation update cheap per step
+            p, q = p.ravel().tolist(), q.ravel().tolist()
+        states = [a]
+        for pk, qk in zip(p, q):
+            a = pk * a + qk
+            states.append(a)
+        states = np.reshape(states, (nb + 1,) + shape)
+        if n_sub:
+            ring[np.arange(i + 1, i + nb + 1) % slots] = states[1:]
         if record:
-            out = e_dir[jj] * (echo[0, 0] + aj[0, 0])
-            return da, abs(out) ** 2, abs(aj[0, 0]) ** 2
-        return da, 0.0, 0.0
-
-    for i in range(n):
-        current = i
-        m = 2 * i
-        if n_sub == 0:
-            a_del = (None, None, None)
-        else:
-            j = i - n_sub
-            mid = (w_mid[0] * hist(j - 1) + w_mid[1] * hist(j)
-                   + w_mid[2] * hist(j + 1) + w_mid[3] * hist(j + 2))
-            a_del = (hist(j), mid, hist(j + 1))
-
-        k1, r1, q1 = rhs(m, a, a_del[0])
-        k2, r2, q2 = rhs(m + 1, a + 0.5 * h * k1, a_del[1])
-        k3, r3, q3 = rhs(m + 1, a + 0.5 * h * k2, a_del[1])
-        k4, r4, q4 = rhs(m + 2, a + h * k3, a_del[2])
-        a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ring[(i + 1) % buf_len] = a
-        if record:
-            refl += h / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-            intr += ki * h / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-            amp[i + 1] = a[0, 0]
+            amp[i + 1:i + nb + 1] = states[1:].ravel()
+            block_refl, block_intr = _quadratures(tables, s, c, f, states[:-1], h)
+            refl += block_refl
+            intr += block_intr
+    a = np.reshape(a, shape)
     if not np.all(np.isfinite(a)):
         raise IntegrationError("non-finite amplitude; reduce the step size")
-    fid = np.abs(a) ** 2
-    tau = np.arange(n + 1) * h if record else None
-    return fid, tau, amp, refl, intr
+    return a, amp, refl, intr
+
+
+def simulate_transfer(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
+    """Integrate the delay-free transfer and return |A(horizon)|^2 and losses.
+
+    `profile` is anything with a vectorizable ``theta(tau)`` (an
+    :class:`OptimalProfile` or :class:`SampledProfile`).
+    """
+    h = _DEFAULT_STEP if step is None else float(step)
+    n = _ode_step_count(config.horizon, h)
+    tables = _FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e, h, n)
+    a, amp, refl, intr = _integrate(tables, h, n, record=True)
+    return TransferResult(fidelity=float(a) ** 2, tau=np.arange(n + 1) * h,
+                          amplitude=amp, reflected_fraction=refl,
+                          intrinsic_fraction=intr)
+
+
+def _retarded(config: TransferConfig, profile, dm, dc, step: float | None,
+              record: bool):
+    """Integrate the retarded transfer over lag grids dm, dc (seconds)."""
+    ke = config.kappa_e
+    lag = ke * config.delta_f
+    h, n_sub = _delay_step(lag, step)
+    n = _ode_step_count(config.horizon, h)
+    tables = _RetardedTables(profile, config.ratio, config.kappa_i / ke, lag, n_sub,
+                             ke * dm, ke * dc, h, n)
+    a, amp, refl, intr = _integrate(tables, h, n, record)
+    return np.abs(a) ** 2, np.arange(n + 1) * h, amp, refl, intr
 
 
 def simulate_with_delay(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
@@ -505,11 +589,9 @@ def simulate_with_delay(config: TransferConfig, profile, step: float | None = No
     the retarded master equation; cavity history before tau = 0 is zero.
     With all delays zero this reproduces :func:`simulate_transfer`.
     """
-    ke = config.kappa_e
-    fid, tau, amp, refl, intr = _integrate_delay(
-        profile, config.ratio, config.kappa_i / ke, ke * config.delta_f,
-        np.array([ke * config.delta_m]), np.array([ke * config.delta_c]),
-        config.horizon, step, record=True)
+    fid, tau, amp, refl, intr = _retarded(
+        config, profile, np.array([config.delta_m]), np.array([config.delta_c]),
+        step, record=True)
     return TransferResult(fidelity=float(fid[0, 0]), tau=tau, amplitude=amp,
                           reflected_fraction=refl, intrinsic_fraction=intr)
 
@@ -525,10 +607,7 @@ def optimize_delays(config: TransferConfig, profile, dm_grid, dc_grid,
     dc = np.asarray(dc_grid, dtype=float)
     if dm.size == 0 or dc.size == 0:
         raise DomainError("delay grids must be non-empty")
-    ke = config.kappa_e
-    fid, _, _, _, _ = _integrate_delay(
-        profile, config.ratio, config.kappa_i / ke, ke * config.delta_f,
-        ke * dm, ke * dc, config.horizon, step, record=False)
+    fid, _, _, _, _ = _retarded(config, profile, dm, dc, step, record=False)
     best = np.max(fid)
     ties = np.argwhere(fid == best)
     key = sorted((abs(dm[i]), abs(dc[j]), dm[i], dc[j], i, j) for i, j in ties)

@@ -156,6 +156,8 @@ def test_memory_simulate_ideal(tmp_path, capsys):
     header, first = traj.read_text().splitlines()[:2]
     assert header == "tau_prime,re_A,im_A,theta"
     assert [float(v) for v in first.split(",")] == [0.0, 0.0, 0.0, 0.0]
+    rows = np.loadtxt(traj, delimiter=",", skiprows=1)
+    assert np.all(rows[:, 2] == 0.0)  # the delay-free trajectory is real
 
 
 def test_memory_simulate_delay_point(tmp_path, capsys):

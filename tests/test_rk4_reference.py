@@ -1,0 +1,86 @@
+"""The block recurrence against the per-step RK4 loops it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+import rk4_reference as ref
+from phoncirc import memory
+
+KAPPA_E = 2 * math.pi * 300e3
+NS = 1e-9
+TOL = 1e-12
+
+
+def config(ratio=1 / 3, kappa_i=0.0, **kw):
+    return memory.TransferConfig(kappa_e=KAPPA_E, r=ratio * KAPPA_E,
+                                 kappa_i=kappa_i, **kw)
+
+
+def assert_same(new, old):
+    assert abs(new.fidelity - old.fidelity) <= TOL
+    assert abs(new.reflected_fraction - old.reflected_fraction) <= TOL
+    assert abs(new.intrinsic_fraction - old.intrinsic_fraction) <= TOL
+    assert np.array_equal(new.tau, old.tau)
+    assert np.max(np.abs(new.amplitude - old.amplitude)) <= TOL
+
+
+def optimal():
+    return memory.optimal_profile(1 / 3)
+
+
+def capped():
+    return memory.discretize_profile(optimal(), slope_cap=12.0)
+
+
+@pytest.mark.parametrize("cfg, profile", [
+    (config(), optimal()),
+    (config(), capped()),
+    (config(kappa_i=0.02 * KAPPA_E), optimal()),
+], ids=["optimal", "slope-capped", "kappa_i"])
+def test_delay_free_matches_reference(cfg, profile):
+    new = memory.simulate_transfer(cfg, profile)
+    assert_same(new, ref.simulate_transfer(cfg, profile))
+    assert np.all(new.amplitude.imag == 0.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    config(delta_m=21 * NS, delta_c=-34 * NS, horizon=10.0),
+    config(kappa_i=2 * math.pi, delta_f=20 * NS, delta_m=7 * NS, delta_c=-11 * NS,
+           horizon=10.0),
+    config(kappa_i=2 * math.pi, delta_f=60 * NS, delta_m=21 * NS, delta_c=-34 * NS,
+           horizon=10.0),
+], ids=["zero-lag-fold", "delay-20ns", "delay-60ns"])
+def test_retarded_matches_reference(cfg):
+    new = memory.simulate_with_delay(cfg, optimal())
+    assert_same(new, ref.simulate_with_delay(cfg, optimal()))
+
+
+def test_smallest_delay_uses_twenty_substeps():
+    h, n_sub = memory._delay_step(KAPPA_E * 20 * NS, None)
+    assert n_sub == 20
+
+
+def test_partial_last_block_matches_reference():
+    cfg = config(delta_f=60 * NS, delta_m=10 * NS, delta_c=-20 * NS, horizon=2.9)
+    h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
+    n = memory._ode_step_count(cfg.horizon, h)
+    assert n % memory._block_length(1, n_sub) != 0
+    assert n % memory._block_length(1, 0) != 0
+    assert_same(memory.simulate_with_delay(cfg, capped()),
+                ref.simulate_with_delay(cfg, capped()))
+    free = config(horizon=2.9)
+    assert_same(memory.simulate_transfer(free, optimal()),
+                ref.simulate_transfer(free, optimal()))
+
+
+@pytest.mark.parametrize("delta_f", [0.0, 60 * NS], ids=["zero-lag", "delay-60ns"])
+def test_small_grid_matches_reference(delta_f):
+    cfg = config(kappa_i=2 * math.pi, delta_f=delta_f, horizon=10.0)
+    dm = np.linspace(0.0, 40.0, 5) * NS
+    dc = np.linspace(-45.0, -15.0, 4) * NS
+    scan = memory.optimize_delays(cfg, optimal(), dm, dc)
+    want = ref.fidelity_grid(cfg, optimal(), dm, dc)
+    assert scan.fidelity_grid.shape == (5, 4)
+    assert np.max(np.abs(scan.fidelity_grid - want)) <= TOL
