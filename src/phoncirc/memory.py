@@ -388,12 +388,12 @@ class _FreeTables:
         tg = np.arange(2 * n + 1) * (h / 2.0)
         self.ki = ki
         self.chalf = np.cos(np.asarray(profile.theta(tg), dtype=float) / 2.0)
-        self.decay = -0.5 * (4.0 * self.chalf**2 + ki)
+        self.coef = -0.5 * (4.0 * self.chalf**2 + ki)
         self.pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
         self.drive = 2.0 * self.chalf * self.pump
 
     def coefficient(self, s):
-        return self.decay[s]
+        return self.coef[s]
 
     def forcing(self, s, taps):
         return self.drive[s]
