@@ -15,6 +15,17 @@ leftover global phase.
 inputs followed by a triangular mesh of N(N-1)/2 such blocks on adjacent
 ports; :func:`mesh_apply` runs a vector through a plan.  Plans serialize to
 JSON with 0-based top-port indices.
+
+Both do their arithmetic on whole arrays, not one element at a time.  The
+elimination is a wavefront: the pivots that act on disjoint row pairs are
+computed and applied together, 2N-3 steps for N(N-1)/2 pivots.  Mesh
+application groups the elements into layers of disjoint port pairs and
+applies a layer at once, whatever the element order.  Against the per-element loops they replaced
+(kept in ``tests/mesh_reference.py``), plans agree in element order exactly
+and in theta and the screen to 1e-12; phi agrees to 1e-12 once weighted by
+sin(theta), since near the bar and cross points phi is set by the phase of a
+vanishing entry.  A matrix containing NaN fails the unitarity check, and a
+plan with a non-finite screen or phase is rejected.
 """
 
 from __future__ import annotations
@@ -52,6 +63,17 @@ def mzi_unitary(theta: float, phi: float) -> np.ndarray:
     ep = cmath.exp(0.5j * phi)
     return 1j * np.array([[ep * s, ep * c],
                           [c / ep, -s / ep]])
+
+
+def _mzi_stack(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """:func:`mzi_unitary` of each (theta[k], phi[k]), stacked as shape (K, 2, 2)."""
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    ep = np.exp(0.5j * phi)
+    u = np.empty((theta.size, 2, 2), dtype=complex)
+    u[:, 0, 0], u[:, 0, 1] = ep * s, ep * c
+    u[:, 1, 0], u[:, 1, 1] = c / ep, -s / ep
+    u *= 1j
+    return u
 
 
 def beam_splitter() -> np.ndarray:
@@ -95,48 +117,89 @@ class MZISetting:
         return (self.top, self.top + 1)
 
 
-@dataclass(frozen=True)
 class MeshPlan:
-    """Input phase screen plus an ordered list of elements (application order)."""
+    """Input phase screen plus an ordered list of elements (application order).
 
-    screen: np.ndarray
-    elements: tuple[MZISetting, ...]
+    The elements are held as three arrays, `top`, `theta` and `phi`, one entry
+    per element; :attr:`elements` builds the equivalent tuple of
+    :class:`MZISetting` on first use.  Ports must lie in 0..N-2 and every
+    phase must be finite.
+    """
 
-    def __post_init__(self):
-        screen = np.asarray(self.screen, dtype=float)
-        object.__setattr__(self, "screen", screen)
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, screen, elements):
+        elements = tuple(elements)
+        self._set(screen, [e.top for e in elements], [e.theta for e in elements],
+                  [e.phi for e in elements])
+        self._elements = elements
+
+    @classmethod
+    def from_arrays(cls, screen, top, theta, phi) -> "MeshPlan":
+        """Plan whose element k sits on ports (top[k], top[k]+1) at (theta[k], phi[k])."""
+        plan = cls.__new__(cls)
+        plan._set(screen, top, theta, phi)
+        plan._elements = None
+        return plan
+
+    def _set(self, screen, top, theta, phi) -> None:
+        screen = np.array(screen, dtype=float)
+        if screen.ndim != 1:
+            raise DimensionMismatch(f"screen must be 1-d, got shape {screen.shape}")
         n = screen.size
-        for e in self.elements:
-            if not 0 <= e.top <= n - 2:
-                raise DimensionMismatch(f"element at port {e.top} outside 0..{n - 2}")
+        top = np.asarray(top)
+        theta = np.array(theta, dtype=float)
+        phi = np.array(phi, dtype=float)
+        if top.ndim != 1 or theta.shape != top.shape or phi.shape != top.shape:
+            raise DimensionMismatch("top, theta and phi must be 1-d of one length")
+        if top.size and (top.dtype.kind not in "iu"
+                         or not 0 <= top.min() <= top.max() <= n - 2):
+            raise DimensionMismatch(f"element ports must be integers in 0..{n - 2}")
+        for name, values in (("screen", screen), ("theta", theta), ("phi", phi)):
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"mesh plan {name} must be finite")
+        self._screen = screen
+        self._top = top.astype(np.intp)
+        self._theta, self._phi = theta, phi
+        for a in (self._screen, self._top, self._theta, self._phi):
+            a.flags.writeable = False
+
+    screen = property(lambda self: self._screen, doc="Input phases (rad), one per mode.")
+    top = property(lambda self: self._top, doc="Top port of each element.")
+    theta = property(lambda self: self._theta, doc="Internal phase of each element.")
+    phi = property(lambda self: self._phi, doc="External phase of each element.")
+
+    @property
+    def elements(self) -> tuple[MZISetting, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(MZISetting, self._top.tolist(),
+                                       self._theta.tolist(), self._phi.tolist()))
+        return self._elements
 
     @property
     def n_modes(self) -> int:
-        return self.screen.size
+        return self._screen.size
 
     def matrix(self) -> np.ndarray:
         """Dense unitary realized by the plan."""
         return mesh_apply(self, np.eye(self.n_modes, dtype=complex))
 
+    def to_dict(self) -> dict:
+        """The plan as the JSON document of :meth:`to_json`."""
+        return {
+            "screen": self._screen.tolist(),
+            "elements": [{"i": i, "theta": t, "phi": p} for i, t, p in
+                         zip(self._top.tolist(), self._theta.tolist(), self._phi.tolist())],
+        }
+
     def to_json(self) -> str:
-        return json.dumps({
-            "screen": self.screen.tolist(),
-            "elements": [{"i": e.top, "theta": e.theta, "phi": e.phi}
-                         for e in self.elements],
-        })
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "MeshPlan":
         data = json.loads(text)
-        elements = [MZISetting(int(e["i"]), float(e["theta"]), float(e["phi"]))
-                    for e in data["elements"]]
-        return cls(np.asarray(data["screen"], dtype=float), tuple(elements))
-
-
-def _wrap_phase(phi: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return cmath.phase(cmath.exp(1j * phi))
+        items = data["elements"]
+        return cls.from_arrays(data["screen"], [int(e["i"]) for e in items],
+                               [float(e["theta"]) for e in items],
+                               [float(e["phi"]) for e in items])
 
 
 def reck_decompose(u) -> MeshPlan:
@@ -146,47 +209,81 @@ def reck_decompose(u) -> MeshPlan:
     inverse of an element acting on adjacent rows; what remains is the
     diagonal phase screen.  theta is canonical in [0, pi], phi in (-pi, pi].
     A pivot whose target is already zero gets the transparent bar setting
-    (theta = pi, phi = 0).
+    (theta = pi, phi = 0); one whose partner is zero gets the cross setting
+    (theta = 0, phi = 0).
+
+    The pivots run as a wavefront: pivot (column c, row r) goes at step
+    t = 2c + (N-1-r).  The pivots of one step act on disjoint, adjacent row
+    pairs, so a step computes all its phases at once and updates its rows,
+    from the step's first column on, in one expression: 2N-3 steps in all.
+    The elements come out in the order of the column-by-column elimination.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
     if u.ndim != 2 or u.shape != (n, n):
         raise DimensionMismatch(f"expected a square matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) >= _UNITARY_TOL:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(n))) < _UNITARY_TOL:
         raise NotUnitary("input matrix fails the unitarity check at 1e-10")
     work = u.copy()
-    rotations: list[MZISetting] = []
-    for col in range(n - 1):
-        for row in range(n - 1, col, -1):
-            a = work[row - 1, col]
-            b = work[row, col]
-            if abs(b) < 1e-14:
-                theta, phi = math.pi, 0.0
-            elif abs(a) < 1e-14:
-                theta, phi = 0.0, 0.0
-            else:
-                phi = _wrap_phase(cmath.phase(a) - cmath.phase(b))
-                theta = 2.0 * math.atan2(abs(a), abs(b))
-            g = mzi_unitary(theta, phi).conj().T
-            work[row - 1:row + 1, :] = g @ work[row - 1:row + 1, :]
-            rotations.append(MZISetting(row - 1, theta, phi))
+    k = n * (n - 1) // 2
+    top, theta, phi = np.empty(k, dtype=np.intp), np.empty(k), np.empty(k)
+    for t in range(2 * n - 3):
+        c = np.arange(max(0, t - n + 2), min(n - 2, t // 2) + 1)
+        r = c * 2 + (n - 1 - t)            # pivot rows r-1, r: r ascends in steps of 2
+        a, b = work[r - 1, c], work[r, c]
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        th = 2.0 * np.arctan2(abs_a, abs_b)
+        ph = np.angle(np.exp(1j * (np.angle(a) - np.angle(b))))
+        bar = abs_b < 1e-14
+        cross = ~bar & (abs_a < 1e-14)
+        th[bar], th[cross] = math.pi, 0.0
+        ph[bar | cross] = 0.0
+        # columns before c hold c(n-1) - c(c-1)/2 pivots; each column runs bottom up
+        seq = c * (n - 1) - c * (c - 1) // 2 + (n - 1 - r)
+        top[seq], theta[seq], phi[seq] = r - 1, th, ph
+        g = _mzi_stack(th, ph).conj().transpose(0, 2, 1)
+        rows = slice(r[0] - 1, r[-1] + 1)
+        block = work[rows, c[0]:]
+        work[rows, c[0]:] = (g @ block.reshape(c.size, 2, -1)).reshape(block.shape)
     screen = np.angle(np.diagonal(work))
     # the eliminations satisfy G_K ... G_1 U = D, so U = T_1 ... T_K D and the
     # mesh applies T_K first; reverse into application order
-    return MeshPlan(screen, tuple(reversed(rotations)))
+    return MeshPlan.from_arrays(screen, top[::-1], theta[::-1], phi[::-1])
+
+
+def _layers(top: np.ndarray, n: int) -> np.ndarray:
+    """Layer of each element: one past the deepest earlier element sharing a port."""
+    depth = [0] * n
+    layer = []
+    for i in top.tolist():
+        d = max(depth[i], depth[i + 1]) + 1
+        depth[i] = depth[i + 1] = d
+        layer.append(d)
+    return np.array(layer, dtype=np.intp)
 
 
 def mesh_apply(plan: MeshPlan, x) -> np.ndarray:
-    """Send a vector (or matrix of columns) through screen and elements."""
+    """Send a vector (or matrix of columns) through screen and elements.
+
+    The elements of one layer (:func:`_layers`) act on disjoint port pairs,
+    so each layer is applied as one batch of 2x2 products.  Any element order
+    is allowed.
+    """
     x = np.asarray(x, dtype=complex)
-    if x.shape[0] != plan.n_modes:
-        raise DimensionMismatch(
-            f"input has {x.shape[0]} modes, plan expects {plan.n_modes}")
-    y = (np.exp(1j * plan.screen)[:, None] * x) if x.ndim == 2 else np.exp(1j * plan.screen) * x
-    for e in plan.elements:
-        block = mzi_unitary(e.theta, e.phi)
-        y[e.top:e.top + 2] = block @ y[e.top:e.top + 2]
-    return y
+    n = plan.n_modes
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"input has {x.shape[0]} modes, plan expects {n}")
+    y = np.exp(1j * plan.screen)[:, None] * x.reshape(n, -1)
+    if plan.top.size:
+        layer = _layers(plan.top, n)
+        order = np.argsort(layer, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(layer)[1:]))).tolist()
+        ports = np.stack([plan.top, plan.top + 1], axis=1)[order]
+        blocks = _mzi_stack(plan.theta[order], plan.phi[order])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pairs = ports[lo:hi]
+            y[pairs] = blocks[lo:hi] @ y[pairs]
+    return y.reshape(x.shape)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -211,8 +211,7 @@ def _cmd_pmmi_decompose(args, t0):
     u = _read_unitary_csv(args.unitary)
     plan = circuits.reck_decompose(u)
     err = float(np.max(np.abs(plan.matrix() - u)))
-    result = json.loads(plan.to_json())
-    result["reconstruction_error"] = err
+    result = dict(plan.to_dict(), reconstruction_error=err)
     _emit(args, result, t0)
 
 

@@ -256,6 +256,7 @@ class TransferConfig:
     Rates are angular (rad/s); delays are in seconds; `horizon` is the final
     time in units of 1/kappa_e.  `slope_cap` is carried for callers that
     discretize the control profile before simulating (None = continuous).
+    Every field must be finite.
     """
 
     kappa_e: float
@@ -268,6 +269,11 @@ class TransferConfig:
     slope_cap: float | None = None
 
     def __post_init__(self):
+        for name in ("kappa_e", "r", "kappa_i", "delta_f", "delta_m", "delta_c",
+                     "horizon", "slope_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.kappa_e <= 0.0:
             raise DomainError("kappa_e must be positive")
         if self.kappa_i < 0.0:

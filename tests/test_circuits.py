@@ -115,6 +115,8 @@ def test_canonical_ranges():
 def test_reck_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         cc.reck_decompose(np.eye(3) * 1.01)
+    with pytest.raises(NotUnitary):
+        cc.reck_decompose(np.diag([1.0, np.nan, 1.0]))
     with pytest.raises(DimensionMismatch):
         cc.reck_decompose(np.zeros((2, 3)))
 
@@ -167,6 +169,34 @@ def test_mesh_plan_json_roundtrip():
     again = cc.MeshPlan.from_json(plan.to_json())
     assert np.array_equal(again.screen, plan.screen)
     assert again.elements == plan.elements
+
+
+def test_mesh_plan_arrays_and_elements_agree():
+    elements = (cc.MZISetting(1, 0.3, -0.2), cc.MZISetting(0, 2.0, 1.1))
+    plan = cc.MeshPlan([0.1, 0.2, 0.3], elements)
+    same = cc.MeshPlan.from_arrays([0.1, 0.2, 0.3], [1, 0], [0.3, 2.0], [-0.2, 1.1])
+    assert plan.elements == same.elements == elements
+    assert plan.top.tolist() == [1, 0] and plan.theta.tolist() == [0.3, 2.0]
+    assert np.array_equal(plan.matrix(), same.matrix())
+    assert plan.to_json() == same.to_json()
+
+
+def test_mesh_plan_rejects_bad_ports():
+    for top in (-1, 2):
+        with pytest.raises(DimensionMismatch):
+            cc.MeshPlan(np.zeros(3), (cc.MZISetting(top, 0.0, 0.0),))
+    with pytest.raises(DimensionMismatch):
+        cc.MeshPlan.from_json('{"screen": [0, 0], "elements": [{"i": 1e30, "theta": 0, "phi": 0}]}')
+
+
+def test_mesh_plan_rejects_non_finite():
+    with pytest.raises(DomainError):
+        cc.MeshPlan([0.0, math.nan], ())
+    with pytest.raises(DomainError):
+        cc.MeshPlan(np.zeros(2), (cc.MZISetting(0, math.inf, 0.0),))
+    # json.loads reads the bare NaN token
+    with pytest.raises(DomainError):
+        cc.MeshPlan.from_json('{"screen": [0, 0], "elements": [{"i": 0, "theta": 1, "phi": NaN}]}')
 
 
 # --- calibration ------------------------------------------------------------------------

@@ -175,6 +175,15 @@ def test_memory_bad_horizon_exits_2(tmp_path, capsys):
     assert code == 2 and "invalid input" in err
 
 
+@pytest.mark.parametrize("text", ['"horizon": 1e400', '"kappa_i_hz": NaN'])
+def test_memory_non_finite_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text('{"kappa_e_hz": 300e3, "r_hz": 100e3, %s}' % text)
+    code, out, err = run_cli(capsys, ["memory", "simulate", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+
+
 def test_memory_optimize_small_grid(tmp_path, capsys):
     cfg = config_json(tmp_path, delta_f_ns=60, horizon=50)
     scan = tmp_path / "scan.csv"
@@ -226,6 +235,23 @@ def test_pmmi_non_unitary_exits_1(tmp_path, capsys):
     write_unitary_csv(path, 1.01 * np.eye(3, dtype=complex))
     code, _, err = run_cli(capsys, ["pmmi", "decompose", "--unitary", str(path)])
     assert code == 1 and "NotUnitary" in err
+
+
+def test_pmmi_nan_unitary_exits_1(tmp_path, capsys):
+    u = np.eye(3, dtype=complex)
+    u[0, 1] = np.nan
+    path = tmp_path / "u.csv"
+    write_unitary_csv(path, u)
+    code, out, err = run_cli(capsys, ["pmmi", "decompose", "--unitary", str(path)])
+    assert code == 1 and out == "" and "NotUnitary" in err
+
+
+def test_pmmi_non_finite_plan_exits_2(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text('{"screen": [0, 0], "elements": [{"i": 0, "theta": NaN, "phi": 0}]}')
+    code, out, err = run_cli(capsys, ["pmmi", "apply", "--plan", str(path), "--basis", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
 
 
 def test_pmmi_apply_roundtrip(tmp_path, capsys):

@@ -1,0 +1,19 @@
+"""Every narrative demo runs to completion against the package in src/."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
