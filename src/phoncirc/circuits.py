@@ -196,7 +196,11 @@ class MeshPlan:
     @classmethod
     def from_json(cls, text: str) -> "MeshPlan":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise DomainError("mesh plan must be a JSON object")
         items = data["elements"]
+        if not isinstance(items, list) or not {*map(type, items)} <= {dict}:
+            raise DomainError("mesh plan elements must be a list of objects")
         return cls.from_arrays(data["screen"], [int(e["i"]) for e in items],
                                [float(e["theta"]) for e in items],
                                [float(e["phi"]) for e in items])

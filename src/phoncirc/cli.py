@@ -6,6 +6,12 @@ stdout; ``--output`` additionally writes the primary result (JSON or CSV)
 to a file.  The manifest echoes the resolved parameters and the wall time;
 everything else is deterministic for identical inputs.
 
+JSON is written as ``json.dump(obj, indent=2, sort_keys=True)`` would write
+it, byte for byte, by a streamed writer (:func:`_write_json`) that hands
+lists of numbers and runs of flat numeric records to the C encoder; CSV rows
+are formatted ``%.12g`` from one row template as they are written.  The
+``json`` module reads every input file.
+
 Frequency-like inputs (kappa_e, r, detunings, band shifts) are ordinary
 frequencies in Hz and are multiplied by 2*pi internally; delays are in ns.
 Exit codes: 0 success, 1 computation error, 2 input validation error.
@@ -18,6 +24,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -72,23 +79,129 @@ def _parse_grid_ns(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise DomainError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0.0 or stop < start:
-        raise DomainError("grid needs step > 0 and stop >= start")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+        raise DomainError("grid needs finite values, step > 0 and stop >= start")
     n = int(round((stop - start) / step)) + 1
     return (start + step * np.arange(n)) * 1e-9
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode   # compact, C-accelerated
+_LEAF_TYPES = frozenset((int, float, bool, type(None)))
+_CHUNK = 256  # records per write in a list of flat records
+
+
+def _scalar(o) -> str | None:
+    """JSON text of a str, number, bool or None, as ``json`` writes it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _write_json(write, obj, level: int = 0) -> None:
+    """Stream `obj` to `write` as ``json.dump(obj, indent=2, sort_keys=True)`` does.
+
+    The bytes are the same.  A list of numbers, and each chunk of `_CHUNK`
+    records that share one key set and hold only numbers, goes through the
+    C encoder in one call and is laid out by string replacement or a row
+    template: no string occurs in that text, so its ", " separators are
+    exactly the item separators.
+    """
+    text = _scalar(obj)
+    if text is not None:
+        write(text)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(write, obj, level)
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                key = _scalar(key)
+                if key is None:
+                    raise TypeError("keys must be str, int, float, bool or None")
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(write, value, level + 1)
+            sep = "," + inner
+        write("\n" + "  " * level + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_list(write, items, level: int) -> None:
+    if not items:
+        write("[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "]"
+    if set(map(type, items)) <= _LEAF_TYPES:
+        write("[" + inner + _ENCODE(items)[1:-1].replace(", ", "," + inner) + close)
+        return
+    sep = "[" + inner
+    for start in range(0, len(items), _CHUNK):
+        chunk = items[start:start + _CHUNK]
+        text = _records(chunk, level + 1)
+        if text is not None:
+            write(sep + text)
+            sep = "," + inner
+            continue
+        for item in chunk:
+            write(sep)
+            _write_json(write, item, level + 1)
+            sep = "," + inner
+    write(close)
+
+
+def _records(chunk, level: int) -> str | None:
+    """Indented text of `chunk` if it is a run of flat numeric records, else None."""
+    first = chunk[0]
+    if type(first) is not dict or not first:
+        return None
+    keys = first.keys()
+    if not (all(isinstance(k, str) for k in keys)
+            and all(type(d) is dict and d.keys() == keys for d in chunk)):
+        return None
+    keys = sorted(keys)
+    values = [d[k] for d in chunk for k in keys]
+    if not set(map(type, values)) <= _LEAF_TYPES:
+        return None
+    inner = "\n" + "  " * (level + 1)
+    row = ("{" + inner
+           + ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                                for k in keys)
+           + "\n" + "  " * level + "}")
+    template = (",\n" + "  " * level).join([row] * len(chunk))
+    return template % tuple(_ENCODE(values)[1:-1].split(", "))
 
 
 def _emit(args, result: dict, t0: float, csv_rows=None, csv_header: str = "") -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "tool", "verb")}
     if args.output:
-        if csv_rows is not None:
-            with open(args.output, "w") as fh:
+        with open(args.output, "w") as fh:
+            if csv_rows is not None:
+                row = ",".join(["%.12g"] * (csv_header.count(",") + 1)) + "\n"
                 fh.write(csv_header + "\n")
-                for row in csv_rows:
-                    fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        else:
-            with open(args.output, "w") as fh:
-                json.dump(result, fh, indent=2, sort_keys=True)
+                fh.writelines(map(row.__mod__, csv_rows))
+            else:
+                _write_json(fh.write, result)
                 fh.write("\n")
         result = dict(result, output_path=args.output)
     envelope = {
@@ -100,7 +213,7 @@ def _emit(args, result: dict, t0: float, csv_rows=None, csv_header: str = "") ->
         },
         "result": result,
     }
-    json.dump(envelope, sys.stdout, indent=2, sort_keys=True)
+    _write_json(sys.stdout.write, envelope)
     sys.stdout.write("\n")
 
 
@@ -190,9 +303,9 @@ def _cmd_memory_optimize(args, t0):
     }
     csv_rows = None
     if args.output:
-        csv_rows = [(dm * 1e9, dc * 1e9, scan.fidelity_grid[i, j])
-                    for i, dm in enumerate(scan.dm_grid)
-                    for j, dc in enumerate(scan.dc_grid)]
+        csv_rows = ((dm * 1e9, dc * 1e9, f)
+                    for dm, row in zip(scan.dm_grid, scan.fidelity_grid)
+                    for dc, f in zip(scan.dc_grid, row))
     _emit(args, summary, t0, csv_rows=csv_rows,
           csv_header="delta_m_ns,delta_c_ns,fidelity")
 
@@ -220,8 +333,8 @@ def _cmd_pmmi_apply(args, t0):
         plan = circuits.MeshPlan.from_json(fh.read())
     if args.input:
         row = np.loadtxt(args.input, delimiter=",", ndmin=2)
-        if row.shape[0] != 1 or row.shape[1] != 2 * plan.n_modes:
-            raise DomainError("input CSV must be one row of 2N reals (re, im)")
+        if row.shape[0] != 1 or row.shape[1] != 2 * plan.n_modes or not np.isfinite(row).all():
+            raise DomainError("input CSV must be one row of 2N finite reals (re, im)")
         x = row[0, 0::2] + 1j * row[0, 1::2]
     elif args.basis is not None:
         if not 0 <= args.basis < plan.n_modes:

@@ -54,6 +54,8 @@ class CubicModuli:
     c456: float
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise DomainError("elastic moduli must be finite")
         if not (self.c11 > 0 and self.c44 > 0):
             raise DomainError("c11 and c44 must be positive")
         if not self.c11 > abs(self.c12):
@@ -223,6 +225,8 @@ def strain_110_to_100(s110) -> np.ndarray:
 
 def bond_matrix(xi: float) -> np.ndarray:
     """Bond transformation matrix for a rotation by `xi` about the z ([001]) axis."""
+    if not math.isfinite(xi):
+        raise DomainError("rotation angle must be finite")
     c, s = math.cos(xi), math.sin(xi)
     s2 = math.sin(2.0 * xi)
     c2 = math.cos(2.0 * xi)

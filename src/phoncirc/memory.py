@@ -103,8 +103,8 @@ def profile_constants(ratio: float) -> ProfileConstants:
 
 def critical_time(ratio: float, kappa_e: float) -> float:
     """Critical switch time in seconds for a cavity with rate kappa_e (rad/s)."""
-    if kappa_e <= 0.0:
-        raise DomainError("kappa_e must be positive")
+    if not 0.0 < kappa_e < math.inf:
+        raise DomainError("kappa_e must be positive and finite")
     return profile_constants(ratio).tau_c / kappa_e
 
 

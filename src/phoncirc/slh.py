@@ -65,9 +65,11 @@ class SLHTriplet:
         L = np.asarray(self.L, dtype=complex).reshape(n, -1)
         m = L.shape[1]
         H = np.asarray(self.H, dtype=complex).reshape(m, m)
-        if np.max(np.abs(S @ S.conj().T - np.eye(n))) > _UNITARY_TOL:
+        if not (np.isfinite(S).all() and np.isfinite(L).all() and np.isfinite(H).all()):
+            raise DomainError("S, L and H must be finite")
+        if not np.max(np.abs(S @ S.conj().T - np.eye(n))) <= _UNITARY_TOL:
             raise DomainError("scattering matrix is not unitary")
-        if m and np.max(np.abs(H - H.conj().T)) > _UNITARY_TOL:
+        if m and not np.max(np.abs(H - H.conj().T)) <= _UNITARY_TOL:
             raise DomainError("Hamiltonian matrix is not Hermitian")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "L", L)
@@ -97,8 +99,8 @@ def cavity_node(kappa_e: float, kappa_i: float, detuning: float = 0.0) -> SLHTri
     loss.  `detuning` is the single-mode Hamiltonian coefficient (rad/s); in
     the rotating frame the bare cavity has detuning 0.
     """
-    if kappa_e < 0.0 or kappa_i < 0.0:
-        raise DomainError("coupling rates must be non-negative")
+    if not (kappa_e >= 0.0 and kappa_i >= 0.0):
+        raise DomainError("coupling rates must be non-negative numbers")
     L = np.array([[math.sqrt(kappa_e)], [math.sqrt(kappa_e)], [math.sqrt(kappa_i)]])
     return SLHTriplet(np.eye(3), L, np.array([[detuning]]))
 

@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phoncirc import circuits, slh
+from phoncirc import circuits, cli, memory, slh
 from phoncirc.cli import main
 
 
@@ -184,6 +186,19 @@ def test_memory_non_finite_config_exits_2(tmp_path, capsys, text):
     assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
 
 
+def test_memory_simulate_csv_format(tmp_path, capsys):
+    cfg = config_json(tmp_path, delta_f_ns=20, delta_m_ns=7, delta_c_ns=-5, horizon=25)
+    traj = tmp_path / "traj.csv"
+    code, _, _ = run_cli(capsys, ["memory", "simulate", "--config", cfg, "--output", str(traj)])
+    assert code == 0
+    config = memory.TransferConfig.from_json(cfg)
+    profile = cli._profile_for(config)
+    res = memory.simulate_with_delay(config, profile)
+    rows = zip(res.tau, res.amplitude.real, res.amplitude.imag, profile.theta(res.tau))
+    want = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+    assert traj.read_text() == "tau_prime,re_A,im_A,theta\n" + want
+
+
 def test_memory_optimize_small_grid(tmp_path, capsys):
     cfg = config_json(tmp_path, delta_f_ns=60, horizon=50)
     scan = tmp_path / "scan.csv"
@@ -254,6 +269,30 @@ def test_pmmi_non_finite_plan_exits_2(tmp_path, capsys):
     assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
 
 
+def test_pmmi_decompose_output_is_indented_json(tmp_path, capsys):
+    # 276 elements: more than one chunk of the record writer
+    u = circuits.haar_unitary(24, np.random.default_rng(14))
+    ucsv = tmp_path / "u.csv"
+    write_unitary_csv(ucsv, u)
+    plan_path = tmp_path / "plan.json"
+    code, out, _ = run_cli(capsys, ["pmmi", "decompose", "--unitary", str(ucsv),
+                                    "--output", str(plan_path)])
+    assert code == 0
+    text = plan_path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_pmmi_nan_input_exits_2(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(circuits.reck_decompose(np.eye(2, dtype=complex)).to_json())
+    vec = tmp_path / "x.csv"
+    vec.write_text("nan,0,1,0\n")
+    code, out, err = run_cli(capsys, ["pmmi", "apply", "--plan", str(plan), "--input", str(vec)])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+
+
 def test_pmmi_apply_roundtrip(tmp_path, capsys):
     u = circuits.haar_unitary(4, np.random.default_rng(13))
     ucsv = tmp_path / "u.csv"
@@ -304,9 +343,112 @@ def test_outputs_deterministic(tmp_path, capsys):
     assert first[1] == second[1]
 
 
+# (file text or None, argv; the file's path is appended when there is one)
+BAD_INPUTS = {
+    "moduli-nan": ('{"c111": NaN}', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
+    "moduli-inf": ('{"c11": Infinity}', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
+    "slh-nan-rate": ('{"nodes": [{"name": "c", "kind": "cavity",'
+                     ' "params": {"kappa_e_hz": 3e5, "kappa_i_hz": NaN}}]}',
+                     ["slh", "compose", "--network"]),
+    "plan-not-object": ("[1, 2]", ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "plan-element-not-object": ('{"screen": [0, 0], "elements": [5]}',
+                                ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "grid-inf": ('{"kappa_e_hz": 3e5, "r_hz": 1e5}',
+                 ["memory", "optimize", "--dm-grid", "0:inf:1", "--config"]),
+    "xi-nan": (None, ["tensor", "bond", "--strain", "zeros", "--xi", "nan"]),
+    "kappa-e-nan": (None, ["memory", "fidelity", "--ratio", "0.5", "--kappa-e-hz", "nan"]),
+}
+
+
+@pytest.mark.parametrize("text,argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2(tmp_path, capsys, text, argv):
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "phoncirc", "memory", "fidelity", "--ratio", "0.3333"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["a1"] == pytest.approx(0.969, abs=1e-3)
+
+
+def test_every_verb_prints_strict_json(tmp_path, capsys):
+    def no_constants(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(network_doc()))
+    ucsv = tmp_path / "u.csv"
+    write_unitary_csv(ucsv, circuits.haar_unitary(3, np.random.default_rng(15)))
+    plan = tmp_path / "plan.json"
+    cfg = config_json(tmp_path, delta_f_ns=20, horizon=25)
+    strain = ["--strain", "[0.01,0,0,0.002,0,0]"]
+    verbs = [
+        ["tensor", "energy", *strain],
+        ["tensor", "phonoelastic", *strain],
+        ["tensor", "bond", *strain, "--xi", "0.3"],
+        ["slh", "compose", "--network", str(net)],
+        ["memory", "fidelity", "--ratio", "0.5", "--kappa-e-hz", "300e3"],
+        ["memory", "simulate", "--config", cfg],
+        ["memory", "optimize", "--config", cfg, "--dm-grid", "0:2:2", "--dc-grid=-2:0:2"],
+        ["pmmi", "decompose", "--unitary", str(ucsv), "--output", str(plan)],
+        ["pmmi", "apply", "--plan", str(plan), "--basis", "1"],
+    ]
+    for argv in verbs:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        json.loads(out, parse_constant=no_constants)
+
+
+# --- the JSON writer ----------------------------------------------------------------
+
+KEYS = st.one_of(st.text(max_size=6),
+                 st.sampled_from([", ", "\n", '"', "\\", "é", "%", "%s", "a, \"b\"\n"]))
+NUMBERS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.sampled_from([10 ** 40, -(10 ** 40), math.nan, math.inf, -math.inf, -0.0]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+SCALARS = st.one_of(NUMBERS, KEYS)
+
+
+@st.composite
+def record_lists(draw):
+    """Flat records: equal key sets, one record short of a key, or a string column."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    values = draw(st.lists(NUMBERS, min_size=1, max_size=12))
+    n = draw(st.one_of(st.integers(1, 4), st.integers(cli._CHUNK - 2, cli._CHUNK + 40)))
+    rows = [{k: values[(i * len(keys) + j) % len(values)] for j, k in enumerate(keys)}
+            for i in range(n)]
+    kind = draw(st.sampled_from(["equal", "unequal", "string"]))
+    at = draw(st.integers(0, n - 1))
+    if kind == "unequal":
+        rows[at] = dict(rows[at], **{draw(KEYS): 1.5})
+        rows[at].pop(keys[0], None)
+    elif kind == "string":
+        text = draw(KEYS)
+        for row in rows[at:]:
+            row[keys[-1]] = text
+    return rows
+
+
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.tuples(children, children),
+        st.dictionaries(KEYS, children, max_size=5), st.lists(NUMBERS, max_size=8),
+        record_lists()),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCUMENTS)
+def test_json_writer_matches_json_dumps(doc):
+    chunks = []
+    cli._write_json(chunks.append, doc)
+    assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True)

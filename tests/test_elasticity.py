@@ -1,5 +1,6 @@
 """Tensor mechanics: strain kinematics, energies, phonoelastic stiffness, frames."""
 
+import dataclasses
 import json
 import math
 
@@ -277,3 +278,10 @@ def test_moduli_stability_check():
     with pytest.raises(DomainError):
         el.CubicModuli(c11=1e9, c12=2e9, c44=1e9, c111=0, c112=0,
                        c123=0, c144=0, c166=0, c456=0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(el.CubicModuli)])
+def test_moduli_reject_non_finite(name):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            el.CubicModuli.from_dict({name: value})

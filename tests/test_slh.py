@@ -53,6 +53,24 @@ def test_cavity_node_rejects_negative_rates():
         slh.cavity_node(-1.0, 0.0)
 
 
+def test_non_finite_triplets_rejected():
+    for rate in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            slh.cavity_node(KAPPA_E, rate)
+        with pytest.raises(DomainError):
+            slh.cavity_node(rate, KAPPA_I)
+    with pytest.raises(DomainError):
+        slh.cavity_node(KAPPA_E, KAPPA_I, detuning=math.nan)
+    with pytest.raises(DomainError):
+        slh.phase_node(math.nan)
+    eye, col, one = np.eye(2), np.ones((2, 1)), np.zeros((1, 1))
+    for bad in ((np.diag([1.0, math.nan]), col, one), (np.diag([1.0, math.inf]), col, one),
+                (eye, col * math.inf, one), (eye, col, one + math.nan),
+                (eye, col, one + math.inf), (eye, col, one + 1j * math.inf)):
+        with pytest.raises(DomainError):
+            slh.SLHTriplet(*bad)
+
+
 def test_phase_node():
     assert slh.phase_node(0.0).S[0, 0] == 1.0
     assert slh.phase_node(math.pi).S[0, 0] == pytest.approx(-1.0)
