@@ -19,10 +19,10 @@ The batch CLI lives in :mod:`phoncirc.cli` (entry point ``phoncirc``).
 __version__ = "0.1.0"
 
 from . import circuits, elasticity, memory, slh
-from .errors import (DimensionMismatch, DomainError, HistoryUnderrun,
-                     InfeasibleCap, IntegrationError, NonPhysicalDeformation,
-                     NotUnitary, OutOfRange, PhoncircError, PortMismatch,
-                     ProfileOutOfRange, SingularLoop)
+from .errors import (ComputationError, DimensionMismatch, DomainError,
+                     HistoryUnderrun, InfeasibleCap, InputError, IntegrationError,
+                     NonPhysicalDeformation, NotUnitary, OutOfRange, PhoncircError,
+                     PortMismatch, ProfileOutOfRange, SingularLoop)
 
 __all__ = [
     "__version__",
@@ -31,6 +31,8 @@ __all__ = [
     "memory",
     "slh",
     "PhoncircError",
+    "InputError",
+    "ComputationError",
     "DomainError",
     "NonPhysicalDeformation",
     "PortMismatch",

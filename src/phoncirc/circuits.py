@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsoncheck import NUMBER, OBJECT, json_list, json_object
 from .errors import DimensionMismatch, DomainError, NotUnitary, OutOfRange
 
 __all__ = [
@@ -195,15 +196,15 @@ class MeshPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "MeshPlan":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise DomainError("mesh plan must be a JSON object")
-        items = data["elements"]
-        if not isinstance(items, list) or not {*map(type, items)} <= {dict}:
-            raise DomainError("mesh plan elements must be a list of objects")
-        return cls.from_arrays(data["screen"], [int(e["i"]) for e in items],
-                               [float(e["theta"]) for e in items],
-                               [float(e["phi"]) for e in items])
+        """Read :meth:`to_json` text.  Every value must be a JSON number, and
+        ``"i"`` an integer (a float port is a :class:`DimensionMismatch`)."""
+        data = json_object(json.loads(text), "mesh plan")
+        items = json_list(data["elements"], OBJECT, "mesh plan elements")
+        top, theta, phi = ([e[key] for e in items] for key in ("i", "theta", "phi"))
+        for key, values in (("screen", data["screen"]), ("'i'", top),
+                            ("theta", theta), ("phi", phi)):
+            json_list(values, NUMBER, f"mesh plan {key} values")
+        return cls.from_arrays(data["screen"], top, theta, phi)
 
 
 def reck_decompose(u) -> MeshPlan:

@@ -14,7 +14,10 @@ are formatted ``%.12g`` from one row template as they are written.  The
 
 Frequency-like inputs (kappa_e, r, detunings, band shifts) are ordinary
 frequencies in Hz and are multiplied by 2*pi internally; delays are in ns.
-Exit codes: 0 success, 1 computation error, 2 input validation error.
+Exit codes: 0 success, 2 for an :class:`~phoncirc.errors.InputError` or a
+``ValueError``, ``KeyError`` or ``OSError`` from reading the input, 1 for a
+:class:`~phoncirc.errors.ComputationError` or any other exception; either
+failure prints one line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -29,15 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, circuits, elasticity, memory, slh
-from .errors import (DimensionMismatch, DomainError, HistoryUnderrun,
-                     InfeasibleCap, IntegrationError, NotUnitary, OutOfRange,
-                     NonPhysicalDeformation, PortMismatch, ProfileOutOfRange,
-                     SingularLoop)
-
-_VALIDATION_ERRORS = (DomainError, OutOfRange, DimensionMismatch, PortMismatch,
-                      json.JSONDecodeError, KeyError, ValueError, OSError)
-_COMPUTATION_ERRORS = (SingularLoop, NotUnitary, IntegrationError, InfeasibleCap,
-                       ProfileOutOfRange, HistoryUnderrun, NonPhysicalDeformation)
+from .errors import DomainError, InputError
 
 
 def _complex_json(m: np.ndarray) -> dict:
@@ -254,8 +249,7 @@ def _cmd_slh_compose(args, t0):
 
 def _cmd_memory_fidelity(args, t0):
     consts = memory.profile_constants(args.ratio)
-    result = {"ratio": args.ratio, "a1": consts.a1, "a2": consts.a2,
-              "tau_c": consts.tau_c}
+    result = {"ratio": args.ratio, "a1": consts.a1, "tau_c": consts.tau_c}
     if args.kappa_e_hz is not None:
         result["t_c_s"] = memory.critical_time(args.ratio, 2 * math.pi * args.kappa_e_hz)
     _emit(args, result, t0)
@@ -428,12 +422,12 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         args.func(args, t0)
-    except _COMPUTATION_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except _VALIDATION_ERRORS as exc:
+    except (InputError, ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a ComputationError, or a fault of the program itself
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._jsoncheck import json_numbers, json_object
 from .errors import DomainError, NonPhysicalDeformation
 
 __all__ = [
@@ -65,7 +66,7 @@ class CubicModuli:
     def from_json(cls, path, base: "CubicModuli | None" = None) -> "CubicModuli":
         """Load moduli from a JSON object; missing keys fall back to `base`.
 
-        The file maps any subset of c11..c456 to values in Pa.  `base`
+        The file maps any subset of c11..c456 to JSON numbers in Pa.  `base`
         defaults to :data:`SILICON`.
         """
         with open(path) as fh:
@@ -74,11 +75,13 @@ class CubicModuli:
 
     @classmethod
     def from_dict(cls, data: dict, base: "CubicModuli | None" = None) -> "CubicModuli":
+        """Moduli from a JSON object of numbers; missing keys fall back to `base`."""
         base = SILICON if base is None else base
         names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        unknown = set(json_object(data, "moduli")) - names
         if unknown:
             raise DomainError(f"unknown moduli keys: {sorted(unknown)}")
+        json_numbers(data, "modulus")
         merged = {name: float(data.get(name, getattr(base, name))) for name in names}
         return cls(**merged)
 

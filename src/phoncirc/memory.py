@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._jsoncheck import json_numbers, json_object
 from .errors import (DomainError, InfeasibleCap, IntegrationError,
                      HistoryUnderrun, ProfileOutOfRange)
 
@@ -76,7 +77,6 @@ _ARCCOS_SLACK = 1e-12
 
 class ProfileConstants(NamedTuple):
     a1: float
-    a2: float
     tau_c: float
 
 
@@ -88,7 +88,7 @@ def _check_ratio(ratio: float) -> float:
 
 
 def profile_constants(ratio: float) -> ProfileConstants:
-    """Constants (a1, a2, tau_c) of the optimal capture profile, kappa_i = 0.
+    """Constants (a1, tau_c) of the optimal capture profile, kappa_i = 0.
 
     `ratio` is r/kappa_e; a1 is the ideal transfer fidelity and tau_c the
     critical switch time in units of 1/kappa_e.
@@ -98,7 +98,7 @@ def profile_constants(ratio: float) -> ProfileConstants:
     a1 = (16.0 * rho / (4.0 + rho) ** 2 * q ** (-8.0 / (4.0 - rho))
           + q ** (-2.0 * rho / (4.0 - rho)))
     tau_c = 2.0 / (4.0 - rho) * math.log(q)
-    return ProfileConstants(a1=a1, a2=1.0, tau_c=tau_c)
+    return ProfileConstants(a1=a1, tau_c=tau_c)
 
 
 def critical_time(ratio: float, kappa_e: float) -> float:
@@ -108,10 +108,10 @@ def critical_time(ratio: float, kappa_e: float) -> float:
     return profile_constants(ratio).tau_c / kappa_e
 
 
-def _rolloff(rho: float, a1: float, a2: float, tau: np.ndarray) -> np.ndarray:
+def _rolloff(rho: float, a1: float, tau: np.ndarray) -> np.ndarray:
     """Interference-matched coupling kappa/kappa_e at times past tau_c."""
     w = np.exp(-rho * tau)
-    return rho * w / (a1 - a2 * w)
+    return rho * w / (a1 - w)
 
 
 def optimal_coupling(ratio: float, tau) -> np.ndarray | float:
@@ -121,11 +121,11 @@ def optimal_coupling(ratio: float, tau) -> np.ndarray | float:
     roll-off; continuous across tau_c by construction.
     """
     rho = _check_ratio(ratio)
-    a1, a2, tau_c = profile_constants(rho)
+    a1, tau_c = profile_constants(rho)
     tau_arr = np.asarray(tau, dtype=float)
     out = np.full(tau_arr.shape, MAX_COUPLING_RATIO)
     late = tau_arr > tau_c
-    out[late] = _rolloff(rho, a1, a2, tau_arr[late])
+    out[late] = _rolloff(rho, a1, tau_arr[late])
     return float(out) if np.isscalar(tau) else out
 
 
@@ -154,7 +154,6 @@ class OptimalProfile:
 
     ratio: float
     a1: float
-    a2: float
     tau_c: float
 
     def theta(self, tau):
@@ -163,14 +162,14 @@ class OptimalProfile:
         late = tau_arr > self.tau_c
         if np.any(late):
             out[late] = phase_from_coupling(
-                _rolloff(self.ratio, self.a1, self.a2, tau_arr[late]))
+                _rolloff(self.ratio, self.a1, tau_arr[late]))
         return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
 
 
 def optimal_profile(ratio: float) -> OptimalProfile:
     rho = _check_ratio(ratio)
-    a1, a2, tau_c = profile_constants(rho)
-    return OptimalProfile(ratio=rho, a1=a1, a2=a2, tau_c=tau_c)
+    a1, tau_c = profile_constants(rho)
+    return OptimalProfile(ratio=rho, a1=a1, tau_c=tau_c)
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,6 @@ class SampledProfile:
     tau: np.ndarray
     thetas: np.ndarray
     tau_c: float
-    a1: float = math.nan
-    a2: float = math.nan
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -244,9 +241,7 @@ def discretize_profile(profile, slope_cap: float = 23.0,
     for target in targets:
         th = min(target, th + slope_cap * dt)
         thetas.append(th)
-    return SampledProfile(np.array(taus), np.array(thetas), tau_c=tau_c,
-                          a1=getattr(profile, "a1", math.nan),
-                          a2=getattr(profile, "a2", math.nan))
+    return SampledProfile(np.array(taus), np.array(thetas), tau_c=tau_c)
 
 
 @dataclass(frozen=True)
@@ -296,13 +291,14 @@ class TransferConfig:
 
         Keys: kappa_e_hz, r_hz (required), kappa_i_hz, delta_f_ns,
         delta_m_ns, delta_c_ns, horizon, slope_cap.  Frequencies are
-        ordinary (multiplied by 2*pi here), delays are nanoseconds.
+        ordinary (multiplied by 2*pi here), delays are nanoseconds.  Every
+        value must be a JSON number; slope_cap may also be null.
         """
         if isinstance(source, dict):
             data = dict(source)
         else:
             with open(source) as fh:
-                data = json.load(fh)
+                data = json_object(json.load(fh), "transfer config")
         known = {"kappa_e_hz", "r_hz", "kappa_i_hz", "delta_f_ns",
                  "delta_m_ns", "delta_c_ns", "horizon", "slope_cap"}
         unknown = set(data) - known
@@ -311,6 +307,8 @@ class TransferConfig:
         if "kappa_e_hz" not in data or "r_hz" not in data:
             raise DomainError("config requires kappa_e_hz and r_hz")
         cap = data.get("slope_cap")
+        json_numbers({k: v for k, v in data.items() if k != "slope_cap" or v is not None},
+                     "config value")
         return cls(
             kappa_e=TWO_PI * float(data["kappa_e_hz"]),
             r=TWO_PI * float(data["r_hz"]),

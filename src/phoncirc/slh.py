@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsoncheck import OBJECT, json_list, json_numbers, json_object
 from .errors import DomainError, PortMismatch, SingularLoop
 
 __all__ = [
@@ -252,7 +253,11 @@ def tunable_coupling_closed_form(theta: float, kappa_e: float, kappa_i: float,
 #
 # Rates are entered as ordinary frequencies in Hz and multiplied by 2*pi
 # here; feedback ports are 1-based.  With an empty script the single
-# declared node is returned unchanged.
+# declared node is returned unchanged.  Every params value must be a JSON
+# number, and each op takes the argument types listed in _OP_ARGS.
+
+_OP_ARGS = {"concat": [str, str], "series": [str, str], "feedback": [str, int, int]}
+
 
 def _build_node(kind: str, params: dict) -> SLHTriplet:
     if kind == "cavity":
@@ -269,27 +274,35 @@ def _build_node(kind: str, params: dict) -> SLHTriplet:
 def run_network(doc: dict) -> SLHTriplet:
     """Build nodes and run the composition script of a network description."""
     registry: dict[str, SLHTriplet] = {}
-    nodes = doc.get("nodes", [])
+    doc = json_object(doc, "network description")
+    nodes = json_list(doc.get("nodes", []), OBJECT, "network nodes")
     if not nodes:
         raise DomainError("network description declares no nodes")
     for spec in nodes:
         name = spec.get("name")
-        if not name or name in registry:
+        if type(name) is not str or not name or name in registry:
             raise DomainError(f"node needs a unique name, got {name!r}")
-        registry[name] = _build_node(spec.get("kind", ""), spec.get("params", {}))
+        params = json_object(spec.get("params", {}), f"params of node {name!r}")
+        registry[name] = _build_node(spec.get("kind", ""), json_numbers(params, "node param"))
     last = registry[nodes[-1]["name"]]
-    for step in doc.get("script", []):
+    for step in json_list(doc.get("script", []), OBJECT, "network script steps"):
         op = step.get("op")
         args = step.get("args", [])
+        want = _OP_ARGS.get(op) if type(op) is str else None
+        if want is None:
+            raise DomainError(f"unknown script op {op!r}")
+        if type(args) is not list or [*map(type, args)] != want:
+            raise DomainError(f"{op} takes args of types "
+                              f"{[t.__name__ for t in want]}, got {args!r}")
         if op == "concat":
             result = concatenate(registry[args[0]], registry[args[1]])
         elif op == "series":
             result = series(registry[args[0]], registry[args[1]])
-        elif op == "feedback":
-            result = feedback(registry[args[0]], int(args[1]), int(args[2]))
         else:
-            raise DomainError(f"unknown script op {op!r}")
+            result = feedback(registry[args[0]], args[1], args[2])
         name = step.get("name")
+        if name is not None and type(name) is not str:
+            raise DomainError(f"script step name must be a string, got {name!r}")
         if name:
             registry[name] = result
         last = result

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phoncirc import circuits, cli, memory, slh
+from phoncirc import circuits, cli, errors, memory, slh
 from phoncirc.cli import main
 
 
@@ -357,6 +357,30 @@ BAD_INPUTS = {
                  ["memory", "optimize", "--dm-grid", "0:inf:1", "--config"]),
     "xi-nan": (None, ["tensor", "bond", "--strain", "zeros", "--xi", "nan"]),
     "kappa-e-nan": (None, ["memory", "fidelity", "--ratio", "0.5", "--kappa-e-hz", "nan"]),
+    "network-not-object": ("[1]", ["slh", "compose", "--network"]),
+    "network-node-not-object": ('{"nodes": [5]}', ["slh", "compose", "--network"]),
+    "network-params-not-object": ('{"nodes": [{"name": "p", "kind": "phase", "params": [1]}]}',
+                                  ["slh", "compose", "--network"]),
+    "network-rate-null": ('{"nodes": [{"name": "c", "kind": "cavity",'
+                          ' "params": {"kappa_e_hz": null}}]}', ["slh", "compose", "--network"]),
+    "network-concat-one-arg": ('{"nodes": [{"name": "t", "kind": "trivial", "params": {"n": 1}}],'
+                               ' "script": [{"op": "concat", "args": ["t"]}]}',
+                               ["slh", "compose", "--network"]),
+    "network-script-not-objects": ('{"nodes": [{"name": "t", "kind": "trivial"}], "script": [5]}',
+                                   ["slh", "compose", "--network"]),
+    "plan-port-null": ('{"screen": [0, 0, 0], "elements": [{"i": null, "theta": 1, "phi": 0}]}',
+                       ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "plan-port-bool": ('{"screen": [0, 0, 0], "elements": [{"i": true, "theta": 1, "phi": 0}]}',
+                       ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "plan-port-string": ('{"screen": [0, 0, 0], "elements": [{"i": "1", "theta": 1, "phi": 0}]}',
+                         ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "config-not-object": ('["kappa_e_hz", "r_hz"]', ["memory", "simulate", "--config"]),
+    "config-rate-null": ('{"kappa_e_hz": null, "r_hz": 1e5}', ["memory", "simulate", "--config"]),
+    "config-rate-list": ('{"kappa_e_hz": [3e5], "r_hz": 1e5}', ["memory", "simulate", "--config"]),
+    "config-horizon-bool": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": true}',
+                            ["memory", "simulate", "--config"]),
+    "moduli-null": ('{"c11": null}', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
+    "moduli-not-object": ('[["c11"]]', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
 }
 
 
@@ -369,6 +393,51 @@ def test_bad_input_exits_2(tmp_path, capsys, text, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("port", ["0.5", "1.0"])
+def test_plan_float_port_exits_2(tmp_path, capsys, port):
+    # a JSON number that is not an integer is a bad port, like "i": 1e30
+    path = tmp_path / "plan.json"
+    path.write_text('{"screen": [0, 0, 0], "elements": [{"i": %s, "theta": 1, "phi": 0}]}' % port)
+    code, out, err = run_cli(capsys, ["pmmi", "apply", "--basis", "0", "--plan", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DimensionMismatch") and err.count("\n") == 1
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+FAMILY_EXIT = {errors.InputError: ("invalid input", 2), errors.ComputationError: ("error", 1)}
+
+
+@pytest.mark.parametrize("exc_type", sorted(set(_subclasses(errors.PhoncircError)),
+                                            key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_error_family_sets_exit_code(capsys, monkeypatch, exc_type):
+    families = [f for f in FAMILY_EXIT if issubclass(exc_type, f)]
+    assert len(families) == 1
+    prefix, want = FAMILY_EXIT[families[0]]
+
+    def fail(ratio):
+        raise exc_type("stub failure")
+
+    monkeypatch.setattr(memory, "profile_constants", fail)
+    code, out, err = run_cli(capsys, ["memory", "fidelity", "--ratio", "0.5"])
+    assert code == want and out == ""
+    assert err == f"{prefix}: {exc_type.__name__}: stub failure\n"
+
+
+def test_unexpected_exception_exits_1(capsys, monkeypatch):
+    def fail(ratio):
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr(memory, "profile_constants", fail)
+    code, out, err = run_cli(capsys, ["memory", "fidelity", "--ratio", "0.5"])
+    assert code == 1 and out == ""
+    assert err == "error: RuntimeError: stub failure\n"
 
 
 def test_console_entry_point(tmp_path):

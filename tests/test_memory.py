@@ -23,7 +23,6 @@ def config(ratio=1 / 3, kappa_i=0.0, **kw):
 def test_constants_at_one_third():
     c = memory.profile_constants(1 / 3)
     assert c.a1 == pytest.approx(0.969, abs=5e-4)
-    assert c.a2 == 1.0
     assert c.tau_c == pytest.approx(0.3344, abs=5e-5)
 
 
