@@ -43,7 +43,7 @@ for i in range(0, len(scan.dm_grid), 4):
                    for j in range(0, len(scan.dc_grid), 4))
     print(f"dm={scan.dm_grid[i] / NS:3.0f}  {row}")
 
-dms, dcs = scan.ridge(interior_only=True)
+dms, dcs = scan.ridge()
 if len(dms) > 2:
     slope, intercept = np.polyfit(dms / NS, dcs / NS, 1)
     print(f"\nbest delta_c tracks delta_m linearly: "

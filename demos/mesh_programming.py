@@ -30,12 +30,12 @@ for th in (-math.pi / 2, -0.5, 0.0, 0.5, math.pi / 2):
 print("\n== program a 6-mode mesh ==")
 target = cc.haar_unitary(6, rng)
 plan = cc.reck_decompose(target)
-print(f"{len(plan.elements)} elements + {plan.n_modes} screen phases")
+print(f"{plan.top.size} elements + {plan.n_modes} screen phases")
 err = np.max(np.abs(plan.matrix() - target))
 print(f"reconstruction error {err:.2e}")
 print("first five elements (port, theta, phi):")
-for e in plan.elements[:5]:
-    print(f"  ports {e.target_ports}  theta = {e.theta:5.3f}  phi = {e.phi:+5.3f}")
+for i, th, ph in zip(plan.top[:5].tolist(), plan.theta[:5], plan.phi[:5]):
+    print(f"  ports ({i}, {i + 1})  theta = {th:5.3f}  phi = {ph:+5.3f}")
 
 print("\nroute a single excitation entering mode 0:")
 x = np.zeros(6, dtype=complex)

@@ -9,28 +9,32 @@ with `theta` the internal differential phase (theta = pi is the bar state,
 theta = 0 the full cross) and `phi` the external differential phase.  The
 same matrix falls out of composing two 50:50 couplers with differential
 phase pairs between and after them (:func:`mzi_from_primitives`), with no
-leftover global phase.
+leftover global phase.  The formula is written once, for a stack of
+elements; :func:`mzi_unitary` is its one-element case.
 
-:func:`reck_decompose` factors an N x N unitary into a phase screen on the
-inputs followed by a triangular mesh of N(N-1)/2 such blocks on adjacent
-ports; :func:`mesh_apply` runs a vector through a plan.  Plans serialize to
-JSON with 0-based top-port indices.
+:func:`reck_decompose` factors an N x N unitary into a :class:`MeshPlan`: a
+phase screen on the inputs followed by a triangular mesh of N(N-1)/2 such
+blocks on adjacent ports, held as arrays of top port, theta and phi;
+:func:`mesh_apply` runs a vector through a plan.  Plans serialize to JSON
+with 0-based top-port indices.
 
 Both do their arithmetic on whole arrays, not one element at a time.  The
 elimination is a wavefront: the pivots that act on disjoint row pairs are
 computed and applied together, 2N-3 steps for N(N-1)/2 pivots.  Mesh
 application groups the elements into layers of disjoint port pairs and
-applies a layer at once, whatever the element order.  Against the per-element loops they replaced
-(kept in ``tests/mesh_reference.py``), plans agree in element order exactly
-and in theta and the screen to 1e-12; phi agrees to 1e-12 once weighted by
-sin(theta), since near the bar and cross points phi is set by the phase of a
-vanishing entry.  A matrix containing NaN fails the unitarity check, and a
-plan with a non-finite screen or phase is rejected.
+applies a layer at once, whatever the element order.  Against the
+per-element loops they replaced (kept in ``tests/mesh_reference.py``),
+plans agree in element order exactly and in theta and the screen to 1e-12;
+phi agrees to 1e-12 once weighted by sin(theta), since near the bar and
+cross points phi is set by the phase of a vanishing entry.  A matrix
+containing NaN fails the unitarity check, and a plan with a non-finite
+screen or phase is rejected.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -60,14 +64,11 @@ _UNITARY_TOL = 1e-10
 
 def mzi_unitary(theta: float, phi: float) -> np.ndarray:
     """SU(2)-style transfer matrix of one Mach-Zehnder element."""
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    ep = cmath.exp(0.5j * phi)
-    return 1j * np.array([[ep * s, ep * c],
-                          [c / ep, -s / ep]])
+    return _mzi_stack(np.array([theta], dtype=float), np.array([phi], dtype=float))[0]
 
 
 def _mzi_stack(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """:func:`mzi_unitary` of each (theta[k], phi[k]), stacked as shape (K, 2, 2)."""
+    """The element matrix of each (theta[k], phi[k]), stacked as shape (K, 2, 2)."""
     s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
     ep = np.exp(0.5j * phi)
     u = np.empty((theta.size, 2, 2), dtype=complex)
@@ -113,42 +114,29 @@ class MZISetting:
     theta: float
     phi: float
 
-    @property
-    def target_ports(self) -> tuple[int, int]:
-        return (self.top, self.top + 1)
 
-
+@dataclass(frozen=True, eq=False)
 class MeshPlan:
     """Input phase screen plus an ordered list of elements (application order).
 
-    The elements are held as three arrays, `top`, `theta` and `phi`, one entry
-    per element; :attr:`elements` builds the equivalent tuple of
-    :class:`MZISetting` on first use.  Ports must lie in 0..N-2 and every
-    phase must be finite.
+    Element k sits on ports (top[k], top[k]+1) with phases (theta[k], phi[k]).
+    The four fields are stored as read-only arrays; ports must be integers in
+    0..N-2 and every phase must be finite.
     """
 
-    def __init__(self, screen, elements):
-        elements = tuple(elements)
-        self._set(screen, [e.top for e in elements], [e.theta for e in elements],
-                  [e.phi for e in elements])
-        self._elements = elements
+    screen: np.ndarray  # input phases (rad), one per mode
+    top: np.ndarray     # top port of each element
+    theta: np.ndarray   # internal phase of each element
+    phi: np.ndarray     # external phase of each element
 
-    @classmethod
-    def from_arrays(cls, screen, top, theta, phi) -> "MeshPlan":
-        """Plan whose element k sits on ports (top[k], top[k]+1) at (theta[k], phi[k])."""
-        plan = cls.__new__(cls)
-        plan._set(screen, top, theta, phi)
-        plan._elements = None
-        return plan
-
-    def _set(self, screen, top, theta, phi) -> None:
-        screen = np.array(screen, dtype=float)
+    def __post_init__(self):
+        screen = np.array(self.screen, dtype=float)
         if screen.ndim != 1:
             raise DimensionMismatch(f"screen must be 1-d, got shape {screen.shape}")
         n = screen.size
-        top = np.asarray(top)
-        theta = np.array(theta, dtype=float)
-        phi = np.array(phi, dtype=float)
+        top = np.asarray(self.top)
+        theta = np.array(self.theta, dtype=float)
+        phi = np.array(self.phi, dtype=float)
         if top.ndim != 1 or theta.shape != top.shape or phi.shape != top.shape:
             raise DimensionMismatch("top, theta and phi must be 1-d of one length")
         if top.size and (top.dtype.kind not in "iu"
@@ -157,27 +145,20 @@ class MeshPlan:
         for name, values in (("screen", screen), ("theta", theta), ("phi", phi)):
             if not np.all(np.isfinite(values)):
                 raise DomainError(f"mesh plan {name} must be finite")
-        self._screen = screen
-        self._top = top.astype(np.intp)
-        self._theta, self._phi = theta, phi
-        for a in (self._screen, self._top, self._theta, self._phi):
-            a.flags.writeable = False
+        for name, values in (("screen", screen), ("top", top.astype(np.intp)),
+                             ("theta", theta), ("phi", phi)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
-    screen = property(lambda self: self._screen, doc="Input phases (rad), one per mode.")
-    top = property(lambda self: self._top, doc="Top port of each element.")
-    theta = property(lambda self: self._theta, doc="Internal phase of each element.")
-    phi = property(lambda self: self._phi, doc="External phase of each element.")
-
-    @property
+    @functools.cached_property
     def elements(self) -> tuple[MZISetting, ...]:
-        if self._elements is None:
-            self._elements = tuple(map(MZISetting, self._top.tolist(),
-                                       self._theta.tolist(), self._phi.tolist()))
-        return self._elements
+        """The elements as :class:`MZISetting` records, built on first use."""
+        return tuple(map(MZISetting, self.top.tolist(), self.theta.tolist(),
+                         self.phi.tolist()))
 
     @property
     def n_modes(self) -> int:
-        return self._screen.size
+        return self.screen.size
 
     def matrix(self) -> np.ndarray:
         """Dense unitary realized by the plan."""
@@ -186,9 +167,9 @@ class MeshPlan:
     def to_dict(self) -> dict:
         """The plan as the JSON document of :meth:`to_json`."""
         return {
-            "screen": self._screen.tolist(),
+            "screen": self.screen.tolist(),
             "elements": [{"i": i, "theta": t, "phi": p} for i, t, p in
-                         zip(self._top.tolist(), self._theta.tolist(), self._phi.tolist())],
+                         zip(self.top.tolist(), self.theta.tolist(), self.phi.tolist())],
         }
 
     def to_json(self) -> str:
@@ -204,7 +185,7 @@ class MeshPlan:
         for key, values in (("screen", data["screen"]), ("'i'", top),
                             ("theta", theta), ("phi", phi)):
             json_list(values, NUMBER, f"mesh plan {key} values")
-        return cls.from_arrays(data["screen"], top, theta, phi)
+        return cls(data["screen"], top, theta, phi)
 
 
 def reck_decompose(u) -> MeshPlan:
@@ -253,7 +234,7 @@ def reck_decompose(u) -> MeshPlan:
     screen = np.angle(np.diagonal(work))
     # the eliminations satisfy G_K ... G_1 U = D, so U = T_1 ... T_K D and the
     # mesh applies T_K first; reverse into application order
-    return MeshPlan.from_arrays(screen, top[::-1], theta[::-1], phi[::-1])
+    return MeshPlan(screen, top[::-1], theta[::-1], phi[::-1])
 
 
 def _layers(top: np.ndarray, n: int) -> np.ndarray:

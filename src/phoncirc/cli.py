@@ -32,6 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, circuits, elasticity, memory, slh
+from ._jsoncheck import NUMBER, json_list
 from .errors import DomainError, InputError
 
 
@@ -58,8 +59,8 @@ def _triplet_json(g: slh.SLHTriplet) -> dict:
 def _parse_strain(text: str) -> np.ndarray:
     if text == "zeros":
         return np.zeros(6)
-    value = json.loads(text)
-    if not isinstance(value, list) or len(value) != 6:
+    value = json_list(json.loads(text), NUMBER, "strain values")
+    if len(value) != 6:
         raise DomainError("strain must be a JSON list of 6 numbers or 'zeros'")
     return np.asarray(value, dtype=float)
 

@@ -63,26 +63,24 @@ class CubicModuli:
             raise DomainError("elastic stability requires c11 > |c12|")
 
     @classmethod
-    def from_json(cls, path, base: "CubicModuli | None" = None) -> "CubicModuli":
-        """Load moduli from a JSON object; missing keys fall back to `base`.
+    def from_json(cls, path) -> "CubicModuli":
+        """Load moduli from a JSON object; missing keys keep the :data:`SILICON` values.
 
-        The file maps any subset of c11..c456 to JSON numbers in Pa.  `base`
-        defaults to :data:`SILICON`.
+        The file maps any subset of c11..c456 to JSON numbers in Pa.
         """
         with open(path) as fh:
             data = json.load(fh)
-        return cls.from_dict(data, base=base)
+        return cls.from_dict(data)
 
     @classmethod
-    def from_dict(cls, data: dict, base: "CubicModuli | None" = None) -> "CubicModuli":
-        """Moduli from a JSON object of numbers; missing keys fall back to `base`."""
-        base = SILICON if base is None else base
+    def from_dict(cls, data: dict) -> "CubicModuli":
+        """Moduli from a JSON object of numbers; missing keys keep the :data:`SILICON` values."""
         names = {f.name for f in fields(cls)}
         unknown = set(json_object(data, "moduli")) - names
         if unknown:
             raise DomainError(f"unknown moduli keys: {sorted(unknown)}")
         json_numbers(data, "modulus")
-        merged = {name: float(data.get(name, getattr(base, name))) for name in names}
+        merged = {name: float(data.get(name, getattr(SILICON, name))) for name in names}
         return cls(**merged)
 
     def stiffness_matrix(self) -> np.ndarray:

@@ -200,10 +200,6 @@ class SampledProfile:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "thetas", th)
 
-    @property
-    def samples(self):
-        return list(zip(self.tau.tolist(), self.thetas.tolist()))
-
     def theta(self, tau):
         out = np.interp(np.asarray(tau, dtype=float), self.tau, self.thetas)
         return float(out) if np.isscalar(tau) else out
@@ -343,13 +339,13 @@ class DelayScan:
     dc_grid: np.ndarray
     fidelity_grid: np.ndarray  # shape (len(dm_grid), len(dc_grid))
 
-    def ridge(self, interior_only: bool = True):
-        """Best delta_c per delta_m; optionally drop rows whose optimum
-        pins to the grid boundary (the ridge leaves the scan window there)."""
+    def ridge(self):
+        """Best delta_c per delta_m, without the rows whose optimum pins to
+        the grid boundary (the ridge leaves the scan window there)."""
         idx = np.argmax(self.fidelity_grid, axis=1)
         dm = np.asarray(self.dm_grid)
         dc = np.asarray(self.dc_grid)[idx]
-        if interior_only and len(self.dc_grid) > 2:
+        if len(self.dc_grid) > 2:
             keep = (idx > 0) & (idx < len(self.dc_grid) - 1)
             return dm[keep], dc[keep]
         return dm, dc

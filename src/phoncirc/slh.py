@@ -267,7 +267,10 @@ def _build_node(kind: str, params: dict) -> SLHTriplet:
     if kind == "phase":
         return phase_node(float(params.get("theta_rad", 0.0)))
     if kind == "trivial":
-        return trivial_node(int(params.get("n", 1)))
+        n = params.get("n", 1)
+        if type(n) is not int:
+            raise DomainError(f"trivial node port count must be a JSON integer, got {n!r}")
+        return trivial_node(n)
     raise DomainError(f"unknown node kind {kind!r}")
 
 

@@ -4,7 +4,9 @@ These are the loops that ``phoncirc.circuits`` used before the Reck
 elimination ran as a wavefront and mesh application ran a layer at a time.
 They are kept verbatim as the oracle for ``test_mesh_reference.py``: the
 array versions must reproduce their element order, phases and outputs to
-rounding.  The unitarity check here is the old, NaN-blind one.
+rounding.  The unitarity check here is the old, NaN-blind one, and the
+element matrix is the old scalar ``math``/``cmath`` formula, which the
+package now evaluates only in its stacked numpy form.
 """
 
 from __future__ import annotations
@@ -14,8 +16,16 @@ import math
 
 import numpy as np
 
-from phoncirc.circuits import _UNITARY_TOL, MeshPlan, MZISetting, mzi_unitary
+from phoncirc.circuits import _UNITARY_TOL, MeshPlan, MZISetting
 from phoncirc.errors import DimensionMismatch, NotUnitary
+
+
+def mzi_unitary(theta: float, phi: float) -> np.ndarray:
+    """SU(2)-style transfer matrix of one Mach-Zehnder element."""
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    ep = cmath.exp(0.5j * phi)
+    return 1j * np.array([[ep * s, ep * c],
+                          [c / ep, -s / ep]])
 
 
 def _wrap_phase(phi: float) -> float:
@@ -57,7 +67,8 @@ def reck_decompose(u) -> MeshPlan:
     screen = np.angle(np.diagonal(work))
     # the eliminations satisfy G_K ... G_1 U = D, so U = T_1 ... T_K D and the
     # mesh applies T_K first; reverse into application order
-    return MeshPlan(screen, tuple(reversed(rotations)))
+    return MeshPlan(screen, *([getattr(e, f) for e in reversed(rotations)]
+                              for f in ("top", "theta", "phi")))
 
 
 def mesh_apply(plan: MeshPlan, x) -> np.ndarray:

@@ -54,7 +54,7 @@ def test_criterion_03_delay_optimum():
     dc_ok = abs(dc_ns - (-34.0)) <= 2.0
     fid_ok = abs(scan.fidelity - 0.890) <= 5e-3
     # affine ridge of best delta_c against delta_m, grid-interior points only
-    dms, dcs = scan.ridge(interior_only=True)
+    dms, dcs = scan.ridge()
     slope, intercept = np.polyfit(dms, dcs, 1)
     pred = slope * dms + intercept
     r2 = 1.0 - np.sum((dcs - pred) ** 2) / np.sum((dcs - np.mean(dcs)) ** 2)

@@ -1,5 +1,6 @@
 """MZI algebra, triangular mesh synthesis, calibration, and the mirror predicate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_roundtrip_randomized_sizes():
 # --- mesh application -----------------------------------------------------------------
 
 def test_mesh_apply_identity_plan():
-    plan = cc.MeshPlan(np.zeros(3), ())
+    plan = cc.MeshPlan(np.zeros(3), [], [], [])
     x = np.array([1.0, 2.0, 3.0], dtype=complex)
     assert np.array_equal(cc.mesh_apply(plan, x), x)
 
@@ -158,7 +159,7 @@ def test_mesh_apply_preserves_norm():
 
 
 def test_mesh_apply_dimension_check():
-    plan = cc.MeshPlan(np.zeros(3), ())
+    plan = cc.MeshPlan(np.zeros(3), [], [], [])
     with pytest.raises(DimensionMismatch):
         cc.mesh_apply(plan, np.ones(4))
 
@@ -173,8 +174,8 @@ def test_mesh_plan_json_roundtrip():
 
 def test_mesh_plan_arrays_and_elements_agree():
     elements = (cc.MZISetting(1, 0.3, -0.2), cc.MZISetting(0, 2.0, 1.1))
-    plan = cc.MeshPlan([0.1, 0.2, 0.3], elements)
-    same = cc.MeshPlan.from_arrays([0.1, 0.2, 0.3], [1, 0], [0.3, 2.0], [-0.2, 1.1])
+    plan = cc.MeshPlan([0.1, 0.2, 0.3], [1, 0], [0.3, 2.0], [-0.2, 1.1])
+    same = cc.MeshPlan.from_json(plan.to_json())
     assert plan.elements == same.elements == elements
     assert plan.top.tolist() == [1, 0] and plan.theta.tolist() == [0.3, 2.0]
     assert np.array_equal(plan.matrix(), same.matrix())
@@ -184,19 +185,31 @@ def test_mesh_plan_arrays_and_elements_agree():
 def test_mesh_plan_rejects_bad_ports():
     for top in (-1, 2):
         with pytest.raises(DimensionMismatch):
-            cc.MeshPlan(np.zeros(3), (cc.MZISetting(top, 0.0, 0.0),))
+            cc.MeshPlan(np.zeros(3), [top], [0.0], [0.0])
     with pytest.raises(DimensionMismatch):
         cc.MeshPlan.from_json('{"screen": [0, 0], "elements": [{"i": 1e30, "theta": 0, "phi": 0}]}')
 
 
 def test_mesh_plan_rejects_non_finite():
     with pytest.raises(DomainError):
-        cc.MeshPlan([0.0, math.nan], ())
+        cc.MeshPlan([0.0, math.nan], [], [], [])
     with pytest.raises(DomainError):
-        cc.MeshPlan(np.zeros(2), (cc.MZISetting(0, math.inf, 0.0),))
+        cc.MeshPlan(np.zeros(2), [0], [math.inf], [0.0])
     # json.loads reads the bare NaN token
     with pytest.raises(DomainError):
         cc.MeshPlan.from_json('{"screen": [0, 0], "elements": [{"i": 0, "theta": 1, "phi": NaN}]}')
+
+
+def test_mesh_plan_is_read_only():
+    screen, theta = np.array([0.1, 0.2, 0.3]), np.array([0.3, 2.0])
+    plan = cc.MeshPlan(screen, np.array([1, 0]), theta, [-0.2, 1.1])
+    screen[0] = theta[0] = 9.0  # the plan holds copies
+    assert plan.screen[0] == 0.1 and plan.theta[0] == 0.3
+    for name in ("screen", "top", "theta", "phi"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plan, name)[0] = 0
 
 
 # --- calibration ------------------------------------------------------------------------

@@ -343,6 +343,8 @@ def test_outputs_deterministic(tmp_path, capsys):
     assert first[1] == second[1]
 
 
+HUGE = "9" * 401
+
 # (file text or None, argv; the file's path is appended when there is one)
 BAD_INPUTS = {
     "moduli-nan": ('{"c111": NaN}', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
@@ -381,6 +383,19 @@ BAD_INPUTS = {
                             ["memory", "simulate", "--config"]),
     "moduli-null": ('{"c11": null}', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
     "moduli-not-object": ('[["c11"]]', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
+    "strain-bool": (None, ["tensor", "energy", "--strain", "[true,0,0,0,0,0]"]),
+    "trivial-n-float": ('{"nodes": [{"name": "t", "kind": "trivial", "params": {"n": 2.7}}]}',
+                        ["slh", "compose", "--network"]),
+    "trivial-n-bool": ('{"nodes": [{"name": "t", "kind": "trivial", "params": {"n": true}}]}',
+                       ["slh", "compose", "--network"]),
+    # a JSON integer beyond the float range: float() raises OverflowError
+    "config-huge-int": ('{"kappa_e_hz": %s, "r_hz": 1e5}' % HUGE,
+                        ["memory", "simulate", "--config"]),
+    "plan-huge-theta": ('{"screen": [0, 0], "elements": [{"i": 0, "theta": %s, "phi": 0}]}' % HUGE,
+                        ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "moduli-huge-int": ('{"c11": %s}' % HUGE,
+                        ["tensor", "energy", "--strain", "zeros", "--moduli"]),
+    "strain-huge-int": (None, ["tensor", "energy", "--strain", "[%s,0,0,0,0,0]" % HUGE]),
 }
 
 

@@ -36,6 +36,14 @@ def test_haar_plans_match(n):
     assert np.max(np.abs(new.matrix() - u)) <= TOL
 
 
+def test_mzi_unitary_matches_scalar_formula():
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, (2000, 2)).tolist()
+    angles += [[0.0, 0.0], [math.pi, 0.0], [0.0, 1.3], [math.pi, -2.1]]
+    for theta, phi in angles:
+        assert np.max(np.abs(cc.mzi_unitary(theta, phi) - ref.mzi_unitary(theta, phi))) <= 1e-15
+
+
 def degenerate_counts(plan):
     bar = sum(e.theta == math.pi and e.phi == 0.0 for e in plan.elements)
     cross = sum(e.theta == 0.0 and e.phi == 0.0 for e in plan.elements)
@@ -67,8 +75,7 @@ def random_plan(rng, n, k):
     top = rng.integers(0, n - 1, size=k)
     theta = rng.uniform(-2 * math.pi, 2 * math.pi, size=k)
     phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=k)
-    elements = [cc.MZISetting(int(i), float(t), float(p)) for i, t, p in zip(top, theta, phi)]
-    return cc.MeshPlan(rng.uniform(-math.pi, math.pi, size=n), elements)
+    return cc.MeshPlan(rng.uniform(-math.pi, math.pi, size=n), top, theta, phi)
 
 
 @pytest.mark.parametrize("n, k", [(2, 5), (3, 17), (7, 60), (16, 300)])
