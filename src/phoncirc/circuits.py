@@ -178,12 +178,14 @@ class MeshPlan:
     @classmethod
     def from_json(cls, text: str) -> "MeshPlan":
         """Read :meth:`to_json` text.  Every value must be a JSON number, and
-        ``"i"`` an integer (a float port is a :class:`DimensionMismatch`)."""
+        ``"i"`` an integer (a float port, or one too large for a float, is a
+        :class:`DimensionMismatch`)."""
         data = json_object(json.loads(text), "mesh plan")
         items = json_list(data["elements"], OBJECT, "mesh plan elements")
         top, theta, phi = ([e[key] for e in items] for key in ("i", "theta", "phi"))
-        for key, values in (("screen", data["screen"]), ("'i'", top),
-                            ("theta", theta), ("phi", phi)):
+        if not {*map(type, top)} <= NUMBER:  # never made floats: no float-range check
+            raise DomainError("mesh plan 'i' values must be JSON numbers in a list")
+        for key, values in (("screen", data["screen"]), ("theta", theta), ("phi", phi)):
             json_list(values, NUMBER, f"mesh plan {key} values")
         return cls(data["screen"], top, theta, phi)
 

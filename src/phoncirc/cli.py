@@ -1,6 +1,9 @@
 """Batch command-line front end.
 
 Four tools, one verb each run: ``phoncirc {tensor|slh|memory|pmmi} <verb>``.
+Each verb is declared once, in the table :data:`_TOOLS`, with its options and
+what ``--output`` writes; its function only computes and returns its result
+(and, for a table, the CSV header and rows), and :func:`main` emits it.
 Every run prints a JSON envelope ``{"manifest": ..., "result": ...}`` on
 stdout; ``--output`` additionally writes the primary result (JSON or CSV)
 to a file.  The manifest echoes the resolved parameters and the wall time;
@@ -70,14 +73,14 @@ def _load_moduli(path: str | None) -> elasticity.CubicModuli:
 
 
 def _parse_grid_ns(text: str) -> np.ndarray:
-    """ "start:stop:step" in ns, inclusive of the stop point."""
+    """ "start:stop:step" in ns; the stop point is included when it lies on the step lattice."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise DomainError("grid needs finite values, step > 0 and stop >= start")
-    n = int(round((stop - start) / step)) + 1
+    n = math.floor((stop - start) / step + 1e-9) + 1
     return (start + step * np.arange(n)) * 1e-9
 
 
@@ -188,14 +191,15 @@ def _records(chunk, level: int) -> str | None:
     return template % tuple(_ENCODE(values)[1:-1].split(", "))
 
 
-def _emit(args, result: dict, t0: float, csv_rows=None, csv_header: str = "") -> None:
+def _emit(args, result: dict, csv, t0: float) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "tool", "verb")}
     if args.output:
         with open(args.output, "w") as fh:
-            if csv_rows is not None:
-                row = ",".join(["%.12g"] * (csv_header.count(",") + 1)) + "\n"
-                fh.write(csv_header + "\n")
-                fh.writelines(map(row.__mod__, csv_rows))
+            if csv is not None:
+                header, rows = csv
+                row = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+                fh.write(header + "\n")
+                fh.writelines(map(row.__mod__, rows))
             else:
                 _write_json(fh.write, result)
                 fh.write("\n")
@@ -213,47 +217,40 @@ def _emit(args, result: dict, t0: float, csv_rows=None, csv_header: str = "") ->
     sys.stdout.write("\n")
 
 
-# --- tensor ------------------------------------------------------------------
+# --- verbs: each returns (result, csv), csv = (header, rows) or None ------------
 
-def _cmd_tensor_energy(args, t0):
+def _cmd_tensor_energy(args):
     s = _parse_strain(args.strain)
     moduli = _load_moduli(args.moduli)
     w = elasticity.strain_energy(s, moduli, order=args.order)
-    _emit(args, {"strain": s.tolist(), "order": args.order,
-                 "energy_density_j_per_m3": w}, t0)
+    return {"strain": s.tolist(), "order": args.order, "energy_density_j_per_m3": w}, None
 
 
-def _cmd_tensor_phonoelastic(args, t0):
+def _cmd_tensor_phonoelastic(args):
     s = _parse_strain(args.strain)
     m = elasticity.phonoelastic_matrix(s, _load_moduli(args.moduli))
-    _emit(args, {"strain": s.tolist(), "matrix_pa": m.tolist()}, t0)
+    return {"strain": s.tolist(), "matrix_pa": m.tolist()}, None
 
 
-def _cmd_tensor_bond(args, t0):
+def _cmd_tensor_bond(args):
     s = _parse_strain(args.strain)
     m = elasticity.phonoelastic_matrix(s, _load_moduli(args.moduli))
     rotated = elasticity.bond_rotate(m, args.xi)
-    _emit(args, {"strain": s.tolist(), "xi_rad": args.xi,
-                 "matrix_pa": rotated.tolist()}, t0)
+    return {"strain": s.tolist(), "xi_rad": args.xi, "matrix_pa": rotated.tolist()}, None
 
 
-# --- slh ----------------------------------------------------------------------
-
-def _cmd_slh_compose(args, t0):
+def _cmd_slh_compose(args):
     with open(args.network) as fh:
         doc = json.load(fh)
-    triplet = slh.run_network(doc)
-    _emit(args, _triplet_json(triplet), t0)
+    return _triplet_json(slh.run_network(doc)), None
 
 
-# --- memory -------------------------------------------------------------------
-
-def _cmd_memory_fidelity(args, t0):
+def _cmd_memory_fidelity(args):
     consts = memory.profile_constants(args.ratio)
     result = {"ratio": args.ratio, "a1": consts.a1, "tau_c": consts.tau_c}
     if args.kappa_e_hz is not None:
         result["t_c_s"] = memory.critical_time(args.ratio, 2 * math.pi * args.kappa_e_hz)
-    _emit(args, result, t0)
+    return result, None
 
 
 def _profile_for(config: memory.TransferConfig):
@@ -264,7 +261,7 @@ def _profile_for(config: memory.TransferConfig):
     return profile
 
 
-def _cmd_memory_simulate(args, t0):
+def _cmd_memory_simulate(args):
     config = memory.TransferConfig.from_json(args.config)
     profile = _profile_for(config)
     delayed = config.delta_f != 0.0 or config.delta_m != 0.0 or config.delta_c != 0.0
@@ -277,15 +274,14 @@ def _cmd_memory_simulate(args, t0):
         "delayed": delayed,
         "horizon": config.horizon,
     }
-    csv_rows = None
-    if args.output:
-        theta = np.asarray(profile.theta(res.tau), dtype=float)
-        csv_rows = zip(res.tau, res.amplitude.real, res.amplitude.imag, theta)
-    _emit(args, summary, t0, csv_rows=csv_rows,
-          csv_header="tau_prime,re_A,im_A,theta")
+    if not args.output:
+        return summary, None
+    theta = np.asarray(profile.theta(res.tau), dtype=float)
+    return summary, ("tau_prime,re_A,im_A,theta",
+                     zip(res.tau, res.amplitude.real, res.amplitude.imag, theta))
 
 
-def _cmd_memory_optimize(args, t0):
+def _cmd_memory_optimize(args):
     config = memory.TransferConfig.from_json(args.config)
     profile = _profile_for(config)
     scan = memory.optimize_delays(config, profile,
@@ -296,16 +292,13 @@ def _cmd_memory_optimize(args, t0):
         "delta_c_ns": scan.delta_c * 1e9,
         "fidelity": scan.fidelity,
     }
-    csv_rows = None
-    if args.output:
-        csv_rows = ((dm * 1e9, dc * 1e9, f)
-                    for dm, row in zip(scan.dm_grid, scan.fidelity_grid)
-                    for dc, f in zip(scan.dc_grid, row))
-    _emit(args, summary, t0, csv_rows=csv_rows,
-          csv_header="delta_m_ns,delta_c_ns,fidelity")
+    if not args.output:
+        return summary, None
+    return summary, ("delta_m_ns,delta_c_ns,fidelity",
+                     ((dm * 1e9, dc * 1e9, f)
+                      for dm, row in zip(scan.dm_grid, scan.fidelity_grid)
+                      for dc, f in zip(scan.dc_grid, row)))
 
-
-# --- pmmi ---------------------------------------------------------------------
 
 def _read_unitary_csv(path: str) -> np.ndarray:
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -315,15 +308,14 @@ def _read_unitary_csv(path: str) -> np.ndarray:
     return rows[:, 0::2] + 1j * rows[:, 1::2]
 
 
-def _cmd_pmmi_decompose(args, t0):
+def _cmd_pmmi_decompose(args):
     u = _read_unitary_csv(args.unitary)
     plan = circuits.reck_decompose(u)
     err = float(np.max(np.abs(plan.matrix() - u)))
-    result = dict(plan.to_dict(), reconstruction_error=err)
-    _emit(args, result, t0)
+    return dict(plan.to_dict(), reconstruction_error=err), None
 
 
-def _cmd_pmmi_apply(args, t0):
+def _cmd_pmmi_apply(args):
     with open(args.plan) as fh:
         plan = circuits.MeshPlan.from_json(fh.read())
     if args.input:
@@ -339,10 +331,58 @@ def _cmd_pmmi_apply(args, t0):
     else:
         raise DomainError("provide --input or --basis")
     y = circuits.mesh_apply(plan, x)
-    _emit(args, {"output_re": y.real.tolist(), "output_im": y.imag.tolist()}, t0)
+    return {"output_re": y.real.tolist(), "output_im": y.imag.tolist()}, None
 
 
-# --- parser -------------------------------------------------------------------
+# --- the verb table -------------------------------------------------------------
+
+_STRAIN = ("--strain", {"required": True,
+                        "help": "JSON list of 6 Voigt strains (engineering shears) or 'zeros'"})
+_MODULI = ("--moduli", {"help": "JSON file overriding the Si moduli (Pa)"})
+_CONFIG = ("--config", {"required": True, "help": "JSON transfer config"})
+_JSON = "the result JSON"
+
+# tool: (help, {verb: (function, what --output writes, [(flag, add_argument keywords)])})
+_TOOLS = {
+    "tensor": ("strain energy and stiffness tensors", {
+        "energy": (_cmd_tensor_energy, _JSON, [
+            _STRAIN, _MODULI,
+            ("--order", {"choices": ["second", "third"], "default": "third"})]),
+        "phonoelastic": (_cmd_tensor_phonoelastic, _JSON, [_STRAIN, _MODULI]),
+        "bond": (_cmd_tensor_bond, _JSON, [
+            _STRAIN, _MODULI,
+            ("--xi", {"type": float, "required": True,
+                      "help": "rotation angle about [001], radians"})]),
+    }),
+    "slh": ("compose SLH networks", {
+        "compose": (_cmd_slh_compose, _JSON, [
+            ("--network", {"required": True,
+                           "help": "JSON network description (nodes + script)"})]),
+    }),
+    "memory": ("state-transfer simulations", {
+        "fidelity": (_cmd_memory_fidelity, _JSON, [
+            ("--ratio", {"type": float, "required": True, "help": "r / kappa_e"}),
+            ("--kappa-e-hz", {"type": float,
+                              "help": "report the critical time in seconds for this rate"})]),
+        "simulate": (_cmd_memory_simulate, "the trajectory CSV", [_CONFIG]),
+        "optimize": (_cmd_memory_optimize, "the scan CSV", [
+            _CONFIG,
+            ("--dm-grid", {"default": "0:60:1",
+                           "help": "mirror lag grid, ns, as start:stop:step"}),
+            ("--dc-grid", {"default": "-60:0:1",
+                           "help": "detuning lag grid, ns, as start:stop:step"})]),
+    }),
+    "pmmi": ("interferometer mesh synthesis", {
+        "decompose": (_cmd_pmmi_decompose, "the mesh plan JSON", [
+            ("--unitary", {"required": True,
+                           "help": "CSV; N rows of 2N reals alternating re, im"})]),
+        "apply": (_cmd_pmmi_apply, _JSON, [
+            ("--plan", {"required": True, "help": "mesh plan JSON file"}),
+            ("--input", {"help": "CSV; one row of 2N reals alternating re, im"}),
+            ("--basis", {"type": int, "help": "0-based basis vector index"})]),
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -351,69 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "converted to angular internally; delays in ns).")
     parser.add_argument("--version", action="version", version=__version__)
     tools = parser.add_subparsers(dest="tool", required=True)
-
-    tensor = tools.add_parser("tensor", help="strain energy and stiffness tensors")
-    tverbs = tensor.add_subparsers(dest="verb", required=True)
-    for name, fn, extra in [
-        ("energy", _cmd_tensor_energy, True),
-        ("phonoelastic", _cmd_tensor_phonoelastic, False),
-        ("bond", _cmd_tensor_bond, False),
-    ]:
-        sub = tverbs.add_parser(name)
-        sub.add_argument("--strain", required=True,
-                         help="JSON list of 6 Voigt strains (engineering shears) or 'zeros'")
-        sub.add_argument("--moduli", help="JSON file overriding the Si moduli (Pa)")
-        if extra:
-            sub.add_argument("--order", choices=["second", "third"], default="third")
-        if name == "bond":
-            sub.add_argument("--xi", type=float, required=True,
-                             help="rotation angle about [001], radians")
-        sub.add_argument("--output", help="write the result JSON here")
-        sub.set_defaults(func=fn)
-
-    slh_p = tools.add_parser("slh", help="compose SLH networks")
-    sverbs = slh_p.add_subparsers(dest="verb", required=True)
-    compose = sverbs.add_parser("compose")
-    compose.add_argument("--network", required=True,
-                         help="JSON network description (nodes + script)")
-    compose.add_argument("--output", help="write the result JSON here")
-    compose.set_defaults(func=_cmd_slh_compose)
-
-    mem = tools.add_parser("memory", help="state-transfer simulations")
-    mverbs = mem.add_subparsers(dest="verb", required=True)
-    fid = mverbs.add_parser("fidelity")
-    fid.add_argument("--ratio", type=float, required=True, help="r / kappa_e")
-    fid.add_argument("--kappa-e-hz", type=float, dest="kappa_e_hz",
-                     help="report the critical time in seconds for this rate")
-    fid.add_argument("--output", help="write the result JSON here")
-    fid.set_defaults(func=_cmd_memory_fidelity)
-    sim = mverbs.add_parser("simulate")
-    sim.add_argument("--config", required=True, help="JSON transfer config")
-    sim.add_argument("--output", help="write the trajectory CSV here")
-    sim.set_defaults(func=_cmd_memory_simulate)
-    opt = mverbs.add_parser("optimize")
-    opt.add_argument("--config", required=True, help="JSON transfer config")
-    opt.add_argument("--dm-grid", default="0:60:1", dest="dm_grid",
-                     help="mirror lag grid, ns, as start:stop:step")
-    opt.add_argument("--dc-grid", default="-60:0:1", dest="dc_grid",
-                     help="detuning lag grid, ns, as start:stop:step")
-    opt.add_argument("--output", help="write the scan CSV here")
-    opt.set_defaults(func=_cmd_memory_optimize)
-
-    pmmi = tools.add_parser("pmmi", help="interferometer mesh synthesis")
-    pverbs = pmmi.add_subparsers(dest="verb", required=True)
-    dec = pverbs.add_parser("decompose")
-    dec.add_argument("--unitary", required=True,
-                     help="CSV; N rows of 2N reals alternating re, im")
-    dec.add_argument("--output", help="write the mesh plan JSON here")
-    dec.set_defaults(func=_cmd_pmmi_decompose)
-    app = pverbs.add_parser("apply")
-    app.add_argument("--plan", required=True, help="mesh plan JSON file")
-    app.add_argument("--input", help="CSV; one row of 2N reals alternating re, im")
-    app.add_argument("--basis", type=int, help="0-based basis vector index")
-    app.add_argument("--output", help="write the result JSON here")
-    app.set_defaults(func=_cmd_pmmi_apply)
-
+    for tool, (help_text, verbs) in _TOOLS.items():
+        subs = tools.add_parser(tool, help=help_text).add_subparsers(dest="verb", required=True)
+        for verb, (func, writes, options) in verbs.items():
+            sub = subs.add_parser(verb)
+            for flag, keywords in options:
+                sub.add_argument(flag, **keywords)
+            sub.add_argument("--output", help=f"write {writes} here")
+            sub.set_defaults(func=func)
     return parser
 
 
@@ -422,7 +407,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        args.func(args, t0)
+        result, csv = args.func(args)
+        _emit(args, result, csv, t0)
     except (InputError, ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -214,6 +214,17 @@ def test_memory_optimize_small_grid(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3
 
 
+def test_memory_optimize_grid_does_not_pass_stop(tmp_path, capsys):
+    # 60 ns is not on the 7 ns lattice from 0: the grid ends at 56, not 63
+    cfg = config_json(tmp_path, delta_f_ns=20, horizon=25)
+    scan = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, ["memory", "optimize", "--config", cfg, "--dm-grid", "0:60:7",
+                                  "--dc-grid=-5:-5:1", "--output", str(scan)])
+    assert code == 0
+    dm = np.loadtxt(scan, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    assert dm.size == 9 and dm[-1] == pytest.approx(56.0)
+
+
 # --- pmmi -----------------------------------------------------------------------
 
 def write_unitary_csv(path, u):
@@ -410,9 +421,10 @@ def test_bad_input_exits_2(tmp_path, capsys, text, argv):
     assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("port", ["0.5", "1.0"])
+@pytest.mark.parametrize("port", ["0.5", "1.0", pytest.param(HUGE, id="huge-int")])
 def test_plan_float_port_exits_2(tmp_path, capsys, port):
-    # a JSON number that is not an integer is a bad port, like "i": 1e30
+    # a JSON number that is not an integer, or an integer beyond the float
+    # range, is a bad port, like "i": 1e30
     path = tmp_path / "plan.json"
     path.write_text('{"screen": [0, 0, 0], "elements": [{"i": %s, "theta": 1, "phi": 0}]}' % port)
     code, out, err = run_cli(capsys, ["pmmi", "apply", "--basis", "0", "--plan", str(path)])
@@ -474,21 +486,28 @@ def test_every_verb_prints_strict_json(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     cfg = config_json(tmp_path, delta_f_ns=20, horizon=25)
     strain = ["--strain", "[0.01,0,0,0.002,0,0]"]
+    tensor = {"strain", "moduli", "output"}
     verbs = [
-        ["tensor", "energy", *strain],
-        ["tensor", "phonoelastic", *strain],
-        ["tensor", "bond", *strain, "--xi", "0.3"],
-        ["slh", "compose", "--network", str(net)],
-        ["memory", "fidelity", "--ratio", "0.5", "--kappa-e-hz", "300e3"],
-        ["memory", "simulate", "--config", cfg],
-        ["memory", "optimize", "--config", cfg, "--dm-grid", "0:2:2", "--dc-grid=-2:0:2"],
-        ["pmmi", "decompose", "--unitary", str(ucsv), "--output", str(plan)],
-        ["pmmi", "apply", "--plan", str(plan), "--basis", "1"],
+        (["tensor", "energy", *strain], tensor | {"order"}),
+        (["tensor", "phonoelastic", *strain], tensor),
+        (["tensor", "bond", *strain, "--xi", "0.3"], tensor | {"xi"}),
+        (["slh", "compose", "--network", str(net)], {"network", "output"}),
+        (["memory", "fidelity", "--ratio", "0.5", "--kappa-e-hz", "300e3"],
+         {"ratio", "kappa_e_hz", "output"}),
+        (["memory", "simulate", "--config", cfg], {"config", "output"}),
+        (["memory", "optimize", "--config", cfg, "--dm-grid", "0:2:2", "--dc-grid=-2:0:2"],
+         {"config", "dm_grid", "dc_grid", "output"}),
+        (["pmmi", "decompose", "--unitary", str(ucsv), "--output", str(plan)],
+         {"unitary", "output"}),
+        (["pmmi", "apply", "--plan", str(plan), "--basis", "1"],
+         {"plan", "input", "basis", "output"}),
     ]
-    for argv in verbs:
+    for argv, parameters in verbs:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0, argv
-        json.loads(out, parse_constant=no_constants)
+        manifest = json.loads(out, parse_constant=no_constants)["manifest"]
+        assert manifest["command"] == " ".join(argv[:2])
+        assert set(manifest["parameters"]) == parameters, argv
 
 
 # --- the JSON writer ----------------------------------------------------------------
