@@ -1,14 +1,16 @@
 """Shape and type checks for JSON documents read from files.
 
-``json.load`` reads a JSON number as an int or a float and nothing else as
-either; bool is a subclass of int, so the checks compare exact types, and
-a list is checked as one set of item types rather than item by item.  An
-int too large for a float is refused too, checked only where ints occur.
-Each check raises :class:`DomainError`.
+Each JSON object is read against a field table mapping every key it may hold
+to a default or to :data:`REQUIRED`; any other key is refused.  A JSON number
+is an int or a float (bool, a subclass of int, is not): the checks compare
+exact types, a list as one set of item types, and refuse an int too large
+for a float where ints occur.  Each check raises :class:`DomainError`.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from collections import deque
 
 from .errors import DomainError
@@ -16,13 +18,30 @@ from .errors import DomainError
 NUMBER = frozenset((int, float))
 OBJECT = frozenset((dict,))
 _NOUN = {NUMBER: "numbers within the float range", OBJECT: "objects"}
+REQUIRED = object()  # the default of a key that a field table requires
 
 
-def json_object(value, what: str) -> dict:
-    """`value` if it is a JSON object; `what` names it in the error."""
+def json_object(value, fields: dict, what: str) -> dict:
+    """The JSON object `value` (named `what` in errors) with the defaults of its
+    field table `fields` filled in, its keys in the order of `fields`."""
     if type(value) is not dict:
         raise DomainError(f"{what} must be a JSON object")
-    return value
+    unknown = value.keys() - fields
+    if unknown:
+        raise DomainError(f"{what} has unknown key {min(unknown)!r}")
+    data = {**fields, **value}
+    missing = [key for key, v in data.items() if v is REQUIRED]
+    if missing:
+        raise DomainError(f"{what} lacks the required key {missing[0]!r}")
+    return data
+
+
+def read_object(source, fields: dict, what: str) -> dict:
+    """:func:`json_object` of a document: a path (str or os.PathLike) or a parsed value."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source) as fh:
+            source = json.load(fh)
+    return json_object(source, fields, what)
 
 
 def _overflows(values, kinds: set) -> bool:

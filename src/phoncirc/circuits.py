@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsoncheck import NUMBER, OBJECT, json_list, json_object
+from ._jsoncheck import NUMBER, OBJECT, REQUIRED, json_list, json_object
 from .errors import DimensionMismatch, DomainError, NotUnitary, OutOfRange
 
 __all__ = [
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _UNITARY_TOL = 1e-10
+_PLAN = {"screen": REQUIRED, "elements": REQUIRED, "reconstruction_error": None}
+_ELEMENT = {"i": REQUIRED, "theta": REQUIRED, "phi": REQUIRED}
 
 
 def mzi_unitary(theta: float, phi: float) -> np.ndarray:
@@ -177,12 +179,16 @@ class MeshPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "MeshPlan":
-        """Read :meth:`to_json` text.  Every value must be a JSON number, and
+        """Read :meth:`to_json` or ``pmmi decompose`` text.  Every value must be a JSON number, and
         ``"i"`` an integer (a float port, or one too large for a float, is a
         :class:`DimensionMismatch`)."""
-        data = json_object(json.loads(text), "mesh plan")
+        data = json_object(json.loads(text), _PLAN, "mesh plan")
         items = json_list(data["elements"], OBJECT, "mesh plan elements")
-        top, theta, phi = ([e[key] for e in items] for key in ("i", "theta", "phi"))
+        # one bulk pass: three keys each, all drawn from _ELEMENT, means exactly its keys
+        if not ({*map(len, items)} <= {len(_ELEMENT)} and set().union(*items) <= _ELEMENT.keys()):
+            json_object(next(e for e in items if e.keys() != _ELEMENT.keys()),
+                        _ELEMENT, "mesh plan element")
+        top, theta, phi = ([e[key] for e in items] for key in _ELEMENT)
         if not {*map(type, top)} <= NUMBER:  # never made floats: no float-range check
             raise DomainError("mesh plan 'i' values must be JSON numbers in a list")
         for key, values in (("screen", data["screen"]), ("theta", theta), ("phi", phi)):

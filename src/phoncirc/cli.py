@@ -78,8 +78,9 @@ def _parse_grid_ns(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise DomainError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
-        raise DomainError("grid needs finite values, step > 0 and stop >= start")
+    if (not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start
+            or not math.isfinite((stop - start) / step)):
+        raise DomainError("grid needs finite values and point count, step > 0, stop >= start")
     n = math.floor((stop - start) / step + 1e-9) + 1
     return (start + step * np.arange(n)) * 1e-9
 
@@ -240,9 +241,7 @@ def _cmd_tensor_bond(args):
 
 
 def _cmd_slh_compose(args):
-    with open(args.network) as fh:
-        doc = json.load(fh)
-    return _triplet_json(slh.run_network(doc)), None
+    return _triplet_json(slh.run_network(args.network)), None
 
 
 def _cmd_memory_fidelity(args):

@@ -13,14 +13,13 @@ the second- and third-order constants of Si.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._jsoncheck import json_numbers, json_object
+from ._jsoncheck import json_numbers, read_object
 from .errors import DomainError, NonPhysicalDeformation
 
 __all__ = [
@@ -63,25 +62,11 @@ class CubicModuli:
             raise DomainError("elastic stability requires c11 > |c12|")
 
     @classmethod
-    def from_json(cls, path) -> "CubicModuli":
-        """Load moduli from a JSON object; missing keys keep the :data:`SILICON` values.
-
-        The file maps any subset of c11..c456 to JSON numbers in Pa.
-        """
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CubicModuli":
-        """Moduli from a JSON object of numbers; missing keys keep the :data:`SILICON` values."""
-        names = {f.name for f in fields(cls)}
-        unknown = set(json_object(data, "moduli")) - names
-        if unknown:
-            raise DomainError(f"unknown moduli keys: {sorted(unknown)}")
-        json_numbers(data, "modulus")
-        merged = {name: float(data.get(name, getattr(SILICON, name))) for name in names}
-        return cls(**merged)
+    def from_json(cls, source) -> "CubicModuli":
+        """Moduli in Pa from a JSON object (a file path or a parsed dict) holding any
+        subset of c11..c456 and no other key; the rest keep the :data:`SILICON` values."""
+        data = read_object(source, asdict(SILICON), "moduli")
+        return cls(**{name: float(v) for name, v in json_numbers(data, "modulus").items()})
 
     def stiffness_matrix(self) -> np.ndarray:
         """Zero-strain cubic stiffness matrix (6x6, Pa)."""

@@ -35,14 +35,13 @@ model in the single-excitation sector.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._jsoncheck import json_numbers, json_object
+from ._jsoncheck import REQUIRED, json_numbers, read_object
 from .errors import (DomainError, InfeasibleCap, IntegrationError,
                      HistoryUnderrun, ProfileOutOfRange)
 
@@ -73,6 +72,9 @@ MAX_COUPLING_RATIO = 4.0
 _DEFAULT_STEP = 0.002      # tau units
 _MIN_STEP = 1e-7
 _ARCCOS_SLACK = 1e-12
+_CONFIG_FIELDS = {"kappa_e_hz": REQUIRED, "r_hz": REQUIRED, "kappa_i_hz": 1.0,
+                  "delta_f_ns": 0.0, "delta_m_ns": 0.0, "delta_c_ns": 0.0,
+                  "horizon": 25.0, "slope_cap": None}
 
 
 class ProfileConstants(NamedTuple):
@@ -286,34 +288,22 @@ class TransferConfig:
         """Build from a JSON file path or dict with Hz/ns fields.
 
         Keys: kappa_e_hz, r_hz (required), kappa_i_hz, delta_f_ns,
-        delta_m_ns, delta_c_ns, horizon, slope_cap.  Frequencies are
+        delta_m_ns, delta_c_ns, horizon, slope_cap; no others.  Frequencies are
         ordinary (multiplied by 2*pi here), delays are nanoseconds.  Every
         value must be a JSON number; slope_cap may also be null.
         """
-        if isinstance(source, dict):
-            data = dict(source)
-        else:
-            with open(source) as fh:
-                data = json_object(json.load(fh), "transfer config")
-        known = {"kappa_e_hz", "r_hz", "kappa_i_hz", "delta_f_ns",
-                 "delta_m_ns", "delta_c_ns", "horizon", "slope_cap"}
-        unknown = set(data) - known
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        if "kappa_e_hz" not in data or "r_hz" not in data:
-            raise DomainError("config requires kappa_e_hz and r_hz")
-        cap = data.get("slope_cap")
+        data = read_object(source, _CONFIG_FIELDS, "transfer config")
         json_numbers({k: v for k, v in data.items() if k != "slope_cap" or v is not None},
                      "config value")
         return cls(
             kappa_e=TWO_PI * float(data["kappa_e_hz"]),
             r=TWO_PI * float(data["r_hz"]),
-            kappa_i=TWO_PI * float(data.get("kappa_i_hz", 1.0)),
-            delta_f=1e-9 * float(data.get("delta_f_ns", 0.0)),
-            delta_m=1e-9 * float(data.get("delta_m_ns", 0.0)),
-            delta_c=1e-9 * float(data.get("delta_c_ns", 0.0)),
-            horizon=float(data.get("horizon", 25.0)),
-            slope_cap=None if cap is None else float(cap),
+            kappa_i=TWO_PI * float(data["kappa_i_hz"]),
+            delta_f=1e-9 * float(data["delta_f_ns"]),
+            delta_m=1e-9 * float(data["delta_m_ns"]),
+            delta_c=1e-9 * float(data["delta_c_ns"]),
+            horizon=float(data["horizon"]),
+            slope_cap=None if data["slope_cap"] is None else float(data["slope_cap"]),
         )
 
 

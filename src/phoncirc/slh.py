@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsoncheck import OBJECT, json_list, json_numbers, json_object
+from ._jsoncheck import OBJECT, REQUIRED, json_list, json_numbers, json_object, read_object
 from .errors import DomainError, PortMismatch, SingularLoop
 
 __all__ = [
@@ -253,44 +253,45 @@ def tunable_coupling_closed_form(theta: float, kappa_e: float, kappa_i: float,
 #
 # Rates are entered as ordinary frequencies in Hz and multiplied by 2*pi
 # here; feedback ports are 1-based.  With an empty script the single
-# declared node is returned unchanged.  Every params value must be a JSON
-# number, and each op takes the argument types listed in _OP_ARGS.
+# declared node is returned unchanged.  Each object holds only the keys of its
+# table below, params values are JSON numbers, and _OP_ARGS types each op's args.
 
+_NETWORK = {"nodes": [], "script": []}
+_NODE = {"name": REQUIRED, "kind": REQUIRED, "params": {}}
+_PARAMS = {"cavity": {"kappa_e_hz": 0.0, "kappa_i_hz": 0.0, "detuning_hz": 0.0},
+           "phase": {"theta_rad": 0.0}, "trivial": {"n": 1}}
+_STEP = {"op": REQUIRED, "args": REQUIRED, "name": None}
 _OP_ARGS = {"concat": [str, str], "series": [str, str], "feedback": [str, int, int]}
 
 
-def _build_node(kind: str, params: dict) -> SLHTriplet:
-    if kind == "cavity":
-        return cavity_node(2.0 * math.pi * float(params.get("kappa_e_hz", 0.0)),
-                           2.0 * math.pi * float(params.get("kappa_i_hz", 0.0)),
-                           2.0 * math.pi * float(params.get("detuning_hz", 0.0)))
+def _build_node(kind, params, what: str) -> SLHTriplet:
+    fields = _PARAMS.get(kind) if type(kind) is str else None
+    if fields is None:
+        raise DomainError(f"unknown node kind {kind!r}")
+    p = json_numbers(json_object(params, fields, what), "node param")
+    if kind == "cavity":  # the table lists the rates in cavity_node's argument order
+        return cavity_node(*(2.0 * math.pi * float(v) for v in p.values()))
     if kind == "phase":
-        return phase_node(float(params.get("theta_rad", 0.0)))
-    if kind == "trivial":
-        n = params.get("n", 1)
-        if type(n) is not int:
-            raise DomainError(f"trivial node port count must be a JSON integer, got {n!r}")
-        return trivial_node(n)
-    raise DomainError(f"unknown node kind {kind!r}")
+        return phase_node(float(p["theta_rad"]))
+    if type(p["n"]) is not int:
+        raise DomainError(f"trivial node port count must be a JSON integer, got {p['n']!r}")
+    return trivial_node(p["n"])
 
 
-def run_network(doc: dict) -> SLHTriplet:
-    """Build nodes and run the composition script of a network description."""
+def run_network(source) -> SLHTriplet:
+    """Build the nodes and run the script of a network description (path or parsed)."""
     registry: dict[str, SLHTriplet] = {}
-    doc = json_object(doc, "network description")
-    nodes = json_list(doc.get("nodes", []), OBJECT, "network nodes")
+    doc = read_object(source, _NETWORK, "network description")
+    nodes = json_list(doc["nodes"], OBJECT, "network nodes")
     if not nodes:
         raise DomainError("network description declares no nodes")
     for spec in nodes:
-        name = spec.get("name")
+        name, kind, params = json_object(spec, _NODE, "network node").values()
         if type(name) is not str or not name or name in registry:
             raise DomainError(f"node needs a unique name, got {name!r}")
-        params = json_object(spec.get("params", {}), f"params of node {name!r}")
-        registry[name] = _build_node(spec.get("kind", ""), json_numbers(params, "node param"))
-    last = registry[nodes[-1]["name"]]
-    for step in json_list(doc.get("script", []), OBJECT, "network script steps"):
-        op = step.get("op")
-        args = step.get("args", [])
+        registry[name] = last = _build_node(kind, params, f"params of node {name!r}")
+    for step in json_list(doc["script"], OBJECT, "network script steps"):
+        op, args, name = json_object(step, _STEP, "network script step").values()
         want = _OP_ARGS.get(op) if type(op) is str else None
         if want is None:
             raise DomainError(f"unknown script op {op!r}")
@@ -303,7 +304,6 @@ def run_network(doc: dict) -> SLHTriplet:
             result = series(registry[args[0]], registry[args[1]])
         else:
             result = feedback(registry[args[0]], args[1], args[2])
-        name = step.get("name")
         if name is not None and type(name) is not str:
             raise DomainError(f"script step name must be a string, got {name!r}")
         if name:

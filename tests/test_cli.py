@@ -171,21 +171,6 @@ def test_memory_simulate_delay_point(tmp_path, capsys):
     assert res["fidelity"] == pytest.approx(0.890, abs=5e-3)
 
 
-def test_memory_bad_horizon_exits_2(tmp_path, capsys):
-    cfg = config_json(tmp_path, horizon=0.2)  # below the critical time
-    code, _, err = run_cli(capsys, ["memory", "simulate", "--config", cfg])
-    assert code == 2 and "invalid input" in err
-
-
-@pytest.mark.parametrize("text", ['"horizon": 1e400', '"kappa_i_hz": NaN'])
-def test_memory_non_finite_config_exits_2(tmp_path, capsys, text):
-    path = tmp_path / "config.json"
-    path.write_text('{"kappa_e_hz": 300e3, "r_hz": 100e3, %s}' % text)
-    code, out, err = run_cli(capsys, ["memory", "simulate", "--config", str(path)])
-    assert code == 2 and out == ""
-    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
-
-
 def test_memory_simulate_csv_format(tmp_path, capsys):
     cfg = config_json(tmp_path, delta_f_ns=20, delta_m_ns=7, delta_c_ns=-5, horizon=25)
     traj = tmp_path / "traj.csv"
@@ -272,14 +257,6 @@ def test_pmmi_nan_unitary_exits_1(tmp_path, capsys):
     assert code == 1 and out == "" and "NotUnitary" in err
 
 
-def test_pmmi_non_finite_plan_exits_2(tmp_path, capsys):
-    path = tmp_path / "plan.json"
-    path.write_text('{"screen": [0, 0], "elements": [{"i": 0, "theta": NaN, "phi": 0}]}')
-    code, out, err = run_cli(capsys, ["pmmi", "apply", "--plan", str(path), "--basis", "0"])
-    assert code == 2 and out == ""
-    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
-
-
 def test_pmmi_decompose_output_is_indented_json(tmp_path, capsys):
     # 276 elements: more than one chunk of the record writer
     u = circuits.haar_unitary(24, np.random.default_rng(14))
@@ -312,10 +289,8 @@ def test_pmmi_apply_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["pmmi", "decompose", "--unitary", str(ucsv),
                                     "--output", str(plan_path)])
     assert code == 0
-    # the plan file itself (plus the off-plan reconstruction_error key) must load
-    plan_doc = json.loads(plan_path.read_text())
-    plan = circuits.MeshPlan.from_json(json.dumps(
-        {"screen": plan_doc["screen"], "elements": plan_doc["elements"]}))
+    # the whole plan file, reconstruction_error included, must load
+    plan = circuits.MeshPlan.from_json(plan_path.read_text())
     code, out, _ = run_cli(capsys, ["pmmi", "apply", "--plan", str(plan_path),
                                     "--basis", "2"])
     assert code == 0
@@ -407,11 +382,50 @@ BAD_INPUTS = {
     "moduli-huge-int": ('{"c11": %s}' % HUGE,
                         ["tensor", "energy", "--strain", "zeros", "--moduli"]),
     "strain-huge-int": (None, ["tensor", "energy", "--strain", "[%s,0,0,0,0,0]" % HUGE]),
+    "config-horizon-inf": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e400}',
+                           ["memory", "simulate", "--config"]),
+    "config-rate-nan": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "kappa_i_hz": NaN}',
+                        ["memory", "simulate", "--config"]),
+    "config-horizon-below-critical": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 0.2}',
+                                      ["memory", "simulate", "--config"]),
+    "plan-theta-nan": ('{"screen": [0, 0], "elements": [{"i": 0, "theta": NaN, "phi": 0}]}',
+                       ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "grid-overflow": ('{"kappa_e_hz": 3e5, "r_hz": 1e5}',
+                      ["memory", "optimize", "--dm-grid", "0:1e308:1e-300", "--config"]),
+    # a key outside its object's field table, or a missing required one
+    "network-cavity-param-typo": ('{"nodes": [{"name": "c", "kind": "cavity",'
+                                  ' "params": {"kappa_e": 3e5}}]}',
+                                  ["slh", "compose", "--network"]),
+    "network-phase-param-typo": ('{"nodes": [{"name": "p", "kind": "phase",'
+                                 ' "params": {"theta": 1.2}}]}',
+                                 ["slh", "compose", "--network"]),
+    "network-node-key-typo": ('{"nodes": [{"name": "c", "kind": "cavity",'
+                              ' "parms": {"kappa_e_hz": 3e5}}]}',
+                              ["slh", "compose", "--network"]),
+    "network-extra-key": ('{"nodes": [{"name": "t", "kind": "trivial"}], "scripts": []}',
+                          ["slh", "compose", "--network"]),
+    "network-step-key-typo": ('{"nodes": [{"name": "t", "kind": "trivial", "params": {"n": 2}}],'
+                              ' "script": [{"op": "concat", "args": ["t", "t"], "nmae": "u"}]}',
+                              ["slh", "compose", "--network"]),
+    "plan-extra-key": ('{"screen": [0], "elements": [], "comment": 1}',
+                       ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "plan-element-extra-key": ('{"screen": [0, 0], "elements": [{"i": 0, "theta": 1, "phi": 0,'
+                               ' "label": 1}]}', ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "plan-no-elements": ('{"screen": [0, 0]}', ["pmmi", "apply", "--basis", "0", "--plan"]),
+}
+
+# rows whose error must name this key
+NAMED_KEY = {
+    "network-cavity-param-typo": "kappa_e", "network-phase-param-typo": "theta",
+    "network-node-key-typo": "parms", "network-extra-key": "scripts",
+    "network-step-key-typo": "nmae", "plan-extra-key": "comment",
+    "plan-element-extra-key": "label", "plan-no-elements": "elements",
 }
 
 
-@pytest.mark.parametrize("text,argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_2(tmp_path, capsys, text, argv):
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_2(tmp_path, capsys, name):
+    text, argv = BAD_INPUTS[name]
     if text is not None:
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -419,6 +433,8 @@ def test_bad_input_exits_2(tmp_path, capsys, text, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+    if name in NAMED_KEY:
+        assert repr(NAMED_KEY[name]) in err
 
 
 @pytest.mark.parametrize("port", ["0.5", "1.0", pytest.param(HUGE, id="huge-int")])

@@ -284,4 +284,4 @@ def test_moduli_stability_check():
 def test_moduli_reject_non_finite(name):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
-            el.CubicModuli.from_dict({name: value})
+            el.CubicModuli.from_json({name: value})
