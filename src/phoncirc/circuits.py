@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsoncheck import NUMBER, OBJECT, REQUIRED, json_list, json_object
+from ._jsoncheck import NUMBER, OBJECT, REQUIRED, json_list, json_numbers, json_object
 from .errors import DimensionMismatch, DomainError, NotUnitary, OutOfRange
 
 __all__ = [
@@ -193,6 +193,8 @@ class MeshPlan:
             raise DomainError("mesh plan 'i' values must be JSON numbers in a list")
         for key, values in (("screen", data["screen"]), ("theta", theta), ("phi", phi)):
             json_list(values, NUMBER, f"mesh plan {key} values")
+        if data["reconstruction_error"] is not None:
+            json_numbers({"reconstruction_error": data["reconstruction_error"]}, "mesh plan")
         return cls(data["screen"], top, theta, phi)
 
 

@@ -21,16 +21,27 @@ clock by delta_c.  :func:`optimize_delays` grid-searches the two lags.
 Integration is fixed-step classical Runge-Kutta.  Because the equation is
 linear in A, one RK4 step is exactly the affine map a[i+1] = P[i] a[i] + Q[i]:
 P depends only on time and the detuning lag, Q on the input and the delayed
-history.  Coefficient tables are built for a block of steps at a time as
-whole-array expressions, and a single step loop applies the two-operation
-update.  A block is min(n_sub - 1, 256, max(1, 16384 // cells)) steps long
-(no n_sub - 1 term without a delay), where n_sub is the delay in steps and
-cells the size of the lag grid; the step is chosen commensurate with the
-delay, so the history a block needs is already stored in a ring buffer and
-its half-step values come from 4-point cubic interpolation.  The delay-free
-path stays real-valued.  :func:`single_excitation_oracle` provides an
-independent check of the transfer fidelity via a beam-splitter collision
-model in the single-excitation sector.
+history.  (P, Q) are built for a block of steps at a time as whole-array
+expressions, and a single step loop applies the two-operation update.  A
+block is min(n_sub - 1, 256, max(1, 8192 // cells)) steps long (no n_sub - 1
+term without a delay), where n_sub is the delay in steps and cells the size
+of the lag grid, so that a block's full-grid arrays stay in cache; the step
+is chosen commensurate with the delay, so the history a block needs is
+already stored in a ring buffer and its half-step values come from 4-point
+cubic interpolation.
+
+On a lag grid P and the RK4 weights of Q depend on (t, delta_c) only, the
+mirror phase and the known forcing on (t, delta_m) only.  The known part of
+Q is then a sum of three outer products, and the history enters through
+three outer-product weights, w_A H[j] + w_B H[j+1] + w_C (H[j-1] + H[j+2]);
+one batched matmul per block builds all four, and only the multiply-adds
+over the ring taps run over the full grid.  In the zero-lag limit the
+mirror term folds into P, which is then full-grid.  The coefficient tables
+are built one chunk of blocks at a time, sized from a byte budget, so they
+do not grow with the horizon.  The delay-free path stays real-valued.
+:func:`single_excitation_oracle` provides an independent check of the
+transfer fidelity via a beam-splitter collision model in the
+single-excitation sector.
 """
 
 from __future__ import annotations
@@ -362,11 +373,12 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 # --- coefficient tables -----------------------------------------------------
 #
 # Both builders describe the linear equation dA/dtau = c A - f on the
-# half-step grid tau = k h / 2 that the RK4 stages visit: `coefficient(s)`
-# returns c and `forcing(s, taps)` returns f on the half-step slice s of a
-# block, and `output(s, f, y)` the outgoing field of a stage with forcing f
-# and state y.  Time-only tables are built once; tables that depend on the
-# cavity history are built one block at a time.
+# half-step grid tau = k h / 2 that the RK4 stages visit, one chunk of steps
+# at a time: `load(k0, k1)` fills the tables of half-steps k0..k1, and
+# `step_map(s, taps)` returns the (P, Q) of the block on the chunk's
+# half-step slice s.  Record mode also reads `coefficient(s)` (c),
+# `forcing(s, taps)` (f) and `output(s, f, y)`, the outgoing field of a
+# stage with forcing f and state y.
 
 class _FreeTables:
     """Delay-free tables; real-valued, so the trajectory stays real."""
@@ -374,13 +386,18 @@ class _FreeTables:
     n_sub = 0
     shape = ()
 
-    def __init__(self, profile, rho: float, ki: float, h: float, n: int):
-        tg = np.arange(2 * n + 1) * (h / 2.0)
-        self.ki = ki
-        self.chalf = np.cos(np.asarray(profile.theta(tg), dtype=float) / 2.0)
-        self.coef = -0.5 * (4.0 * self.chalf**2 + ki)
-        self.pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
+    def __init__(self, profile, rho: float, ki: float, h: float):
+        self.theta, self.rho, self.ki, self.h = profile.theta, rho, ki, h
+
+    def load(self, k0: int, k1: int):
+        tg = np.arange(k0, k1 + 1) * (self.h / 2.0)
+        self.chalf = np.cos(np.asarray(self.theta(tg), dtype=float) / 2.0)
+        self.coef = -0.5 * (4.0 * self.chalf**2 + self.ki)
+        self.pump = np.sqrt(self.rho) * np.exp(-0.5 * self.rho * tg)
         self.drive = 2.0 * self.chalf * self.pump
+
+    def step_map(self, s, taps):
+        return _step_map(self.coef[s], self.drive[s], self.h)
 
     def coefficient(self, s):
         return self.coef[s]
@@ -392,47 +409,90 @@ class _FreeTables:
         return self.pump[s] + 2.0 * self.chalf[s] * y
 
 
+# Rows of Q over the RK4 stage terms x = 0, 1, 2 (a step's start, middle and
+# end): the known part, then the weights of the history taps H[j], H[j+1]
+# and H[j-1] + H[j+2], since the middle stage reads the cubic midpoint
+# 9/16 (H[j] + H[j+1]) - 1/16 (H[j-1] + H[j+2]).
+_Q_ROWS = np.array([[-1.0, -1.0, -1.0],
+                    [-1.0, -9.0 / 16.0, 0.0],
+                    [0.0, -9.0 / 16.0, -1.0],
+                    [0.0, 1.0 / 16.0, 0.0]])
+
+
+def _stages(v: np.ndarray) -> np.ndarray:
+    """(steps, ..., 3): each step's start, middle and end half-step values."""
+    return np.stack((v[:-1:2], v[1::2], v[2::2]), axis=-1)
+
+
 class _RetardedTables:
     """Complex tables of the retarded equation over a (dm, dc) lag grid.
 
-    Per-time tables carry two trailing unit axes and the lag tables one, so
-    that every block broadcasts to (steps, len(dm), len(dc)).
+    Per-time tables carry two trailing unit axes, the dc tables a unit dm
+    axis and the dm tables a trailing unit dc axis, so that every block
+    broadcasts to (steps, len(dm), len(dc)).
     """
 
     def __init__(self, profile, rho: float, ki: float, lag: float, n_sub: int,
-                 dm_tau: np.ndarray, dc_tau: np.ndarray, h: float, n: int):
-        self.ki, self.n_sub = ki, n_sub
+                 dm_tau: np.ndarray, dc_tau: np.ndarray, h: float):
+        self.theta, self.rho, self.ki, self.h = profile.theta, rho, ki, h
+        self.lag, self.n_sub = lag, n_sub
+        self.dm_tau, self.dc_tau = dm_tau, dc_tau
         self.shape = (len(dm_tau), len(dc_tau))
-        theta = profile.theta
-        tg = np.arange(2 * n + 1) * (h / 2.0)
+
+    def load(self, k0: int, k1: int):
+        theta, rho, lag, h = self.theta, self.rho, self.lag, self.h
+        tg = np.arange(k0, k1 + 1) * (h / 2.0)
         e_dir = np.exp(-0.5j * np.asarray(theta(tg), dtype=float))
         pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
         td = tg - lag
         # the retarded input enters through the exact shifted exponential
         pump_del = np.sqrt(rho) * np.exp(-0.5 * rho * td)
         echo_in = np.exp(-0.5j * np.asarray(theta(td), dtype=float)) * pump_del
-        sin_dc = np.sin(np.asarray(theta(tg[:, None] - dc_tau[None, :]), dtype=float))
+        sin_dc = np.sin(np.asarray(theta(tg[:, None] - self.dc_tau), dtype=float))
         e_mir = np.exp(1j * np.asarray(
-            theta(tg[:, None] - 0.5 * lag - dm_tau[None, :]), dtype=float))
+            theta(tg[:, None] - 0.5 * lag - self.dm_tau), dtype=float))
         self.e_dir = e_dir[:, None, None]
         self.drive = (e_dir * pump)[:, None, None]
-        self.echo_in = echo_in[:, None, None]
-        self.coef = (1j * sin_dc - (1.0 + 0.5 * ki))[:, None, :]
+        self.coef = (1j * sin_dc - (1.0 + 0.5 * self.ki))[:, None, :]
         self.e_mir = e_mir[:, :, None]
+        self.known = self.e_mir * echo_in[:, None, None] + self.drive
+        if not self.n_sub:
+            # zero-lag limit: the delayed state is the stage state, so e_mir
+            # folds into a full-grid c
+            self.coef = self.coef - self.e_mir
+            return
+        # P and the RK4 weights beta depend on (t, dc) only, the known
+        # forcing and e_mir on (t, dm) only, so the known part of Q and the
+        # weights of its history taps are sums of outer products
+        self.p, beta0, beta1 = _rk4_weights(self.coef, h)
+        beta = np.concatenate((beta0, beta1, np.full_like(beta0, h / 6.0)), axis=1)
+        u, e = _stages(self.known[:, :, 0]), _stages(e_mir)
+        self.left = np.stack((u, e, e, e))
+        self.right = _Q_ROWS[:, None, :, None] * beta
+
+    def step_map(self, s, taps):
+        if taps is None:
+            return _step_map(self.coef[s], self.known[s], self.h)
+        b = slice(s.start // 2, s.stop // 2)
+        q, w_a, w_b, w_c = np.matmul(self.left[:, b], self.right[:, b])
+        # taps hold the history at steps j-1 .. j+nb+1 (j = i - n_sub)
+        nb = len(q)
+        w_c *= np.add(taps[:nb], taps[3:])
+        w_a *= taps[1:nb + 1]
+        w_b *= taps[2:nb + 2]
+        q += w_a
+        q += w_b
+        q += w_c
+        return self.p[b], q
 
     def coefficient(self, s):
-        if self.n_sub:
-            return self.coef[s]
-        # zero-lag limit: the delayed state is the stage state
-        return self.coef[s] - self.e_mir[s]
+        return self.coef[s]
 
     def forcing(self, s, taps):
-        e_mir = self.e_mir[s]
-        known = e_mir * self.echo_in[s] + self.drive[s]
+        known = self.known[s]
         if taps is None:
             return known
-        # taps hold the history at steps j-1 .. j+nb+1 (j = i - n_sub): the
-        # even half-steps read stored nodes, the odd ones cubic midpoints
+        # the even half-steps read stored nodes, the odd ones cubic midpoints
         nb = len(taps) - 3
         delayed = np.empty((2 * nb + 1,) + taps.shape[1:], dtype=complex)
         delayed[0::2] = taps[1:nb + 2]
@@ -440,7 +500,7 @@ class _RetardedTables:
         np.add(taps[:nb], taps[3:], out=mid)
         mid *= -1.0 / 16.0
         mid += 9.0 / 16.0 * (taps[1:nb + 1] + taps[2:nb + 2])
-        delayed *= e_mir
+        delayed *= self.e_mir[s]
         delayed += known
         return delayed
 
@@ -453,24 +513,47 @@ class _RetardedTables:
 
 # --- the step loop ----------------------------------------------------------
 
+#: cell-steps per block: 2 steps on the 61 x 61 paper grid, so that a block's
+#: full-grid temporaries stay in cache
+_BLOCK_CELL_STEPS = 8192
+#: table bytes per chunk
+_CHUNK_BYTES = 1 << 24
+#: complex numbers per lag and step in a chunk's tables and step-map factors
+_LAG_TABLES = 16
+
+
 def _block_length(cells: int, n_sub: int) -> int:
     """Steps per block: the history a block reads must already be stored."""
-    block = min(256, max(1, 16384 // cells))
+    block = min(256, max(1, _BLOCK_CELL_STEPS // cells))
     return min(block, n_sub - 1) if n_sub else block
 
 
-def _step_map(c: np.ndarray, f: np.ndarray, h: float):
-    """(P, Q) of a[i+1] = P a[i] + Q for each RK4 step of a block.
+def _chunk_length(shape: tuple, block: int) -> int:
+    """Steps per table chunk, a whole number of blocks.
 
-    c and f are sampled on the block's 2 nb + 1 half-steps; the forcing folds
-    into three weights, Q = -(beta0 f0 + beta1 f1 + h/6 f2).
+    A step of a chunk holds one full-grid plane (the zero-lag c) and
+    `_LAG_TABLES` numbers per lag, so one cell runs ~30000 steps per chunk
+    and the tables no longer grow with the horizon.
     """
+    step_bytes = 16 * (math.prod(shape) + _LAG_TABLES * sum(shape))
+    return max(1, _CHUNK_BYTES // (step_bytes * block)) * block
+
+
+def _rk4_weights(c: np.ndarray, h: float):
+    """P, beta0 and beta1 of each RK4 step from c on its 2 steps + 1 half-steps."""
     hc0, hc1, hc2 = h * c[:-1:2], h * c[1::2], h * c[2::2]
     half = 1.0 + 0.5 * hc0
     p = 1.0 + (hc0 + 2.0 * hc1 * half + (2.0 + hc2) * hc1 * (1.0 + 0.5 * hc1 * half)
                + hc2) / 6.0
     beta0 = h / 6.0 * (1.0 + hc1 + 0.25 * (2.0 + hc2) * hc1 * hc1)
     beta1 = h / 6.0 * (2.0 + (2.0 + hc2) * (1.0 + 0.5 * hc1))
+    return p, beta0, beta1
+
+
+def _step_map(c: np.ndarray, f: np.ndarray, h: float):
+    """(P, Q) of a[i+1] = P a[i] + Q for each RK4 step, from c and f sampled
+    on the steps' half-steps: Q = -(beta0 f0 + beta1 f1 + h/6 f2)."""
+    p, beta0, beta1 = _rk4_weights(c, h)
     q = -beta0 * f[:-1:2]
     q -= beta1 * f[1::2]
     q -= h / 6.0 * f[2::2]
@@ -502,41 +585,51 @@ def _integrate(tables, h: float, n: int, record: bool):
     shape, n_sub = tables.shape, tables.n_sub
     cells = math.prod(shape)
     block = _block_length(cells, n_sub)
+    chunk = _chunk_length(shape, block)
     scalar = cells == 1
     slots = n_sub + block + 4
-    # zeroed, so history before tau = 0 reads 0 without a mask
-    ring = np.zeros((slots,) + shape, dtype=complex) if n_sub else None
+    # the states of the last steps; zeroed, so history before tau = 0 reads 0
+    ring = np.zeros((slots,) + shape, dtype=complex)
     amp = np.zeros(n + 1, dtype=complex) if record else None
-    a = 0.0 if scalar else np.zeros(shape, dtype=complex)
+    a = 0.0 if scalar else ring[0]
     refl = intr = 0.0
-    for i in range(0, n, block):
-        nb = min(block, n - i)
-        taps = None
-        if n_sub:
-            oldest, newest = i - n_sub - 1, i - n_sub + nb + 1
-            if oldest <= i - slots or newest > i:
-                raise HistoryUnderrun(
-                    f"steps {oldest}..{newest} are outside a {slots}-slot buffer at step {i}")
-            taps = ring[np.arange(oldest, newest + 1) % slots]
-        s = slice(2 * i, 2 * (i + nb) + 1)
-        c = tables.coefficient(s)
-        f = tables.forcing(s, taps)
-        p, q = _step_map(c, f, h)
-        if scalar:
-            # Python numbers make the two-operation update cheap per step
-            p, q = p.ravel().tolist(), q.ravel().tolist()
-        states = [a]
-        for pk, qk in zip(p, q):
-            a = pk * a + qk
-            states.append(a)
-        states = np.reshape(states, (nb + 1,) + shape)
-        if n_sub:
-            ring[np.arange(i + 1, i + nb + 1) % slots] = states[1:]
-        if record:
-            amp[i + 1:i + nb + 1] = states[1:].ravel()
-            block_refl, block_intr = _quadratures(tables, s, c, f, states[:-1], h)
-            refl += block_refl
-            intr += block_intr
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        tables.load(2 * i0, 2 * i1)
+        for i in range(i0, i1, block):
+            nb = min(block, i1 - i)
+            taps = None
+            if n_sub:
+                oldest, newest = i - n_sub - 1, i - n_sub + nb + 1
+                if oldest <= i - slots or newest > i:
+                    raise HistoryUnderrun(
+                        f"steps {oldest}..{newest} are outside a {slots}-slot buffer at step {i}")
+                lo = oldest % slots
+                taps = (ring[lo:lo + nb + 3] if lo + nb + 3 <= slots
+                        else ring[np.arange(oldest, newest + 1) % slots])
+            s = slice(2 * (i - i0), 2 * (i - i0 + nb) + 1)
+            p, q = tables.step_map(s, taps)
+            t = np.arange(i + 1, i + nb + 1) % slots
+            if scalar:
+                # Python numbers make the two-operation update cheap per step
+                states = [a]
+                for pk, qk in zip(p.ravel().tolist(), q.ravel().tolist()):
+                    a = pk * a + qk
+                    states.append(a)
+                states = np.reshape(states, (nb + 1,) + shape)
+                ring[t] = states[1:]
+            else:
+                # each state goes straight into its ring slot
+                for pk, qk, k in zip(p, q, t):
+                    a = np.multiply(pk, a, out=ring[k])
+                    a += qk
+            if record:
+                amp[i + 1:i + nb + 1] = states[1:].ravel()
+                block_refl, block_intr = _quadratures(
+                    tables, s, tables.coefficient(s), tables.forcing(s, taps),
+                    states[:-1], h)
+                refl += block_refl
+                intr += block_intr
     a = np.reshape(a, shape)
     if not np.all(np.isfinite(a)):
         raise IntegrationError("non-finite amplitude; reduce the step size")
@@ -551,7 +644,7 @@ def simulate_transfer(config: TransferConfig, profile, step: float | None = None
     """
     h = _DEFAULT_STEP if step is None else float(step)
     n = _ode_step_count(config.horizon, h)
-    tables = _FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e, h, n)
+    tables = _FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e, h)
     a, amp, refl, intr = _integrate(tables, h, n, record=True)
     return TransferResult(fidelity=float(a) ** 2, tau=np.arange(n + 1) * h,
                           amplitude=amp, reflected_fraction=refl,
@@ -566,7 +659,7 @@ def _retarded(config: TransferConfig, profile, dm, dc, step: float | None,
     h, n_sub = _delay_step(lag, step)
     n = _ode_step_count(config.horizon, h)
     tables = _RetardedTables(profile, config.ratio, config.kappa_i / ke, lag, n_sub,
-                             ke * dm, ke * dc, h, n)
+                             ke * dm, ke * dc, h)
     a, amp, refl, intr = _integrate(tables, h, n, record)
     return np.abs(a) ** 2, np.arange(n + 1) * h, amp, refl, intr
 

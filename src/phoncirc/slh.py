@@ -298,6 +298,9 @@ def run_network(source) -> SLHTriplet:
         if type(args) is not list or [*map(type, args)] != want:
             raise DomainError(f"{op} takes args of types "
                               f"{[t.__name__ for t in want]}, got {args!r}")
+        unknown = [a for a in args if type(a) is str and a not in registry]
+        if unknown:
+            raise DomainError(f"{op} names the unknown node {unknown[0]!r}")
         if op == "concat":
             result = concatenate(registry[args[0]], registry[args[1]])
         elif op == "series":

@@ -412,6 +412,11 @@ BAD_INPUTS = {
     "plan-element-extra-key": ('{"screen": [0, 0], "elements": [{"i": 0, "theta": 1, "phi": 0,'
                                ' "label": 1}]}', ["pmmi", "apply", "--basis", "0", "--plan"]),
     "plan-no-elements": ('{"screen": [0, 0]}', ["pmmi", "apply", "--basis", "0", "--plan"]),
+    "network-unknown-node": ('{"nodes": [{"name": "t", "kind": "trivial"}],'
+                             ' "script": [{"op": "concat", "args": ["t", "zz"]}]}',
+                             ["slh", "compose", "--network"]),
+    "plan-recon-error-string": ('{"screen": [0], "elements": [], "reconstruction_error": "x"}',
+                                ["pmmi", "apply", "--basis", "0", "--plan"]),
 }
 
 # rows whose error must name this key
@@ -420,6 +425,7 @@ NAMED_KEY = {
     "network-node-key-typo": "parms", "network-extra-key": "scripts",
     "network-step-key-typo": "nmae", "plan-extra-key": "comment",
     "plan-element-extra-key": "label", "plan-no-elements": "elements",
+    "network-unknown-node": "zz", "plan-recon-error-string": "reconstruction_error",
 }
 
 

@@ -1,6 +1,7 @@
 """Capture profiles and transfer simulations, delay-free and retarded."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,27 @@ def test_optimize_recovers_paper_optimum_coarse():
     assert scan.fidelity == pytest.approx(0.890, abs=5e-3)
     assert abs(scan.delta_m - 21 * NS) <= 3.1 * NS
     assert abs(scan.delta_c - (-34 * NS)) <= 3.1 * NS
+
+
+@pytest.mark.parametrize("delta_f", [60 * NS, 0.0], ids=["delay-60ns", "zero-lag"])
+def test_scan_matches_per_cell_runs(monkeypatch, delta_f):
+    # a small table budget puts several chunks into a short horizon
+    monkeypatch.setattr(memory, "_CHUNK_BYTES", 1 << 20)
+    cfg = config(kappa_i=2 * math.pi, delta_f=delta_f, horizon=1.5)
+    prof = memory.optimal_profile(1 / 3)
+    dm = np.linspace(0.0, 44.0, 12) * NS
+    dc = np.linspace(-54.0, -6.0, 13) * NS
+    h, n_sub = memory._delay_step(KAPPA_E * delta_f, None)
+    n = memory._ode_step_count(cfg.horizon, h)
+    block = memory._block_length(dm.size * dc.size, n_sub)
+    chunk = memory._chunk_length((dm.size, dc.size), block)
+    assert block != memory._block_length(1, n_sub)
+    assert n > 2 * chunk
+    assert n % chunk != 0 and n % block != 0
+    scan = memory.optimize_delays(cfg, prof, dm, dc)
+    cells = [[memory.simulate_with_delay(replace(cfg, delta_m=m, delta_c=c), prof).fidelity
+              for c in dc] for m in dm]
+    assert np.max(np.abs(scan.fidelity_grid - np.array(cells))) <= 1e-12
 
 
 def test_optimize_rejects_empty_grid():
