@@ -516,8 +516,9 @@ class _RetardedTables:
 #: cell-steps per block: 2 steps on the 61 x 61 paper grid, so that a block's
 #: full-grid temporaries stay in cache
 _BLOCK_CELL_STEPS = 8192
-#: table bytes per chunk
+#: bytes and steps per table chunk
 _CHUNK_BYTES = 1 << 24
+_CHUNK_STEPS = 2048
 #: complex numbers per lag and step in a chunk's tables and step-map factors
 _LAG_TABLES = 16
 
@@ -531,12 +532,12 @@ def _block_length(cells: int, n_sub: int) -> int:
 def _chunk_length(shape: tuple, block: int) -> int:
     """Steps per table chunk, a whole number of blocks.
 
-    A step of a chunk holds one full-grid plane (the zero-lag c) and
-    `_LAG_TABLES` numbers per lag, so one cell runs ~30000 steps per chunk
-    and the tables no longer grow with the horizon.
+    A step of a chunk holds one full-grid plane (the zero-lag c) and about
+    `_LAG_TABLES` numbers per lag; a chunk stays within `_CHUNK_BYTES` and
+    `_CHUNK_STEPS`, so the tables do not grow with the horizon.
     """
     step_bytes = 16 * (math.prod(shape) + _LAG_TABLES * sum(shape))
-    return max(1, _CHUNK_BYTES // (step_bytes * block)) * block
+    return max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // step_bytes) // block) * block
 
 
 def _rk4_weights(c: np.ndarray, h: float):
