@@ -38,7 +38,10 @@ one batched matmul per block builds all four, and only the multiply-adds
 over the ring taps run over the full grid.  In the zero-lag limit the
 mirror term folds into P, which is then full-grid.  The coefficient tables
 are built one chunk of blocks at a time, sized from a byte budget, so they
-do not grow with the horizon.  The delay-free path stays real-valued.
+do not grow with the horizon.  A single cell's ring holds the whole run, its
+trajectory, from which its energy bookkeeping is summed once per chunk.
+A run whose ring and chunk tables would pass 1 GiB is refused before
+anything is allocated.  The delay-free path stays real-valued.
 :func:`single_excitation_oracle` provides an independent check of the
 transfer fidelity via a beam-splitter collision model in the
 single-excitation sector.
@@ -374,11 +377,11 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 #
 # Both builders describe the linear equation dA/dtau = c A - f on the
 # half-step grid tau = k h / 2 that the RK4 stages visit, one chunk of steps
-# at a time: `load(k0, k1)` fills the tables of half-steps k0..k1, and
-# `step_map(s, taps)` returns the (P, Q) of the block on the chunk's
-# half-step slice s.  Record mode also reads `coefficient(s)` (c),
-# `forcing(s, taps)` (f) and `output(s, f, y)`, the outgoing field of a
-# stage with forcing f and state y.
+# at a time: `load(k0, k1)` fills the tables of half-steps k0..k1, among them
+# `coef` (c), and `step_map(s, taps)` returns the (P, Q) of the block on the
+# chunk's half-step slice s.  The energy bookkeeping of a one-cell run also
+# reads `forcing(taps)` (f over the chunk) and `output(s, f, y)`, the
+# outgoing field of a stage with forcing f and state y.
 
 class _FreeTables:
     """Delay-free tables; real-valued, so the trajectory stays real."""
@@ -399,11 +402,8 @@ class _FreeTables:
     def step_map(self, s, taps):
         return _step_map(self.coef[s], self.drive[s], self.h)
 
-    def coefficient(self, s):
-        return self.coef[s]
-
-    def forcing(self, s, taps):
-        return self.drive[s]
+    def forcing(self, taps):
+        return self.drive
 
     def output(self, s, f, y):
         return self.pump[s] + 2.0 * self.chalf[s] * y
@@ -485,13 +485,9 @@ class _RetardedTables:
         q += w_c
         return self.p[b], q
 
-    def coefficient(self, s):
-        return self.coef[s]
-
-    def forcing(self, s, taps):
-        known = self.known[s]
+    def forcing(self, taps):
         if taps is None:
-            return known
+            return self.known
         # the even half-steps read stored nodes, the odd ones cubic midpoints
         nb = len(taps) - 3
         delayed = np.empty((2 * nb + 1,) + taps.shape[1:], dtype=complex)
@@ -500,8 +496,8 @@ class _RetardedTables:
         np.add(taps[:nb], taps[3:], out=mid)
         mid *= -1.0 / 16.0
         mid += 9.0 / 16.0 * (taps[1:nb + 1] + taps[2:nb + 2])
-        delayed *= self.e_mir[s]
-        delayed += known
+        delayed *= self.e_mir
+        delayed += self.known
         return delayed
 
     def output(self, s, f, y):
@@ -521,6 +517,8 @@ _CHUNK_BYTES = 1 << 24
 _CHUNK_STEPS = 2048
 #: complex numbers per lag and step in a chunk's tables and step-map factors
 _LAG_TABLES = 16
+#: bytes a run may take for its ring and one chunk of tables
+_WORK_BYTES = 1 << 30
 
 
 def _block_length(cells: int, n_sub: int) -> int:
@@ -529,15 +527,19 @@ def _block_length(cells: int, n_sub: int) -> int:
     return min(block, n_sub - 1) if n_sub else block
 
 
+def _step_bytes(shape: tuple) -> int:
+    """Table bytes per step: one full-grid plane (the zero-lag c) and about
+    `_LAG_TABLES` numbers per lag."""
+    return 16 * (math.prod(shape) + _LAG_TABLES * sum(shape))
+
+
 def _chunk_length(shape: tuple, block: int) -> int:
     """Steps per table chunk, a whole number of blocks.
 
-    A step of a chunk holds one full-grid plane (the zero-lag c) and about
-    `_LAG_TABLES` numbers per lag; a chunk stays within `_CHUNK_BYTES` and
-    `_CHUNK_STEPS`, so the tables do not grow with the horizon.
+    A chunk stays within `_CHUNK_BYTES` and `_CHUNK_STEPS`, so the tables do
+    not grow with the horizon.
     """
-    step_bytes = 16 * (math.prod(shape) + _LAG_TABLES * sum(shape))
-    return max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // step_bytes) // block) * block
+    return max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // _step_bytes(shape)) // block) * block
 
 
 def _rk4_weights(c: np.ndarray, h: float):
@@ -561,37 +563,57 @@ def _step_map(c: np.ndarray, f: np.ndarray, h: float):
     return p, q
 
 
-def _quadratures(tables, s, c, f, y1, h: float) -> tuple[float, float]:
-    """Reflected and intrinsic energy of a block from its RK4 stage states."""
-    m = s.start
-    odd = slice(m + 1, s.stop - 1, 2)
+def _quadratures(tables, taps, y1, h: float) -> tuple[float, float]:
+    """Reflected and intrinsic energy of the loaded chunk from the states y1
+    at the start of its steps."""
+    c, f = tables.coef, tables.forcing(taps)
+    odd = slice(1, None, 2)
     y2 = y1 + 0.5 * h * (c[:-1:2] * y1 - f[:-1:2])
     y3 = y1 + 0.5 * h * (c[1::2] * y2 - f[1::2])
     y4 = y1 + h * (c[1::2] * y3 - f[1::2])
-    outs = (tables.output(slice(m, s.stop - 2, 2), f[:-1:2], y1),
+    outs = (tables.output(slice(0, -2, 2), f[:-1:2], y1),
             tables.output(odd, f[1::2], y2), tables.output(odd, f[1::2], y3),
-            tables.output(slice(m + 2, s.stop, 2), f[2::2], y4))
+            tables.output(slice(2, None, 2), f[2::2], y4))
     weights = (1.0, 2.0, 2.0, 1.0)
     refl = sum(w * np.sum(np.abs(o) ** 2) for w, o in zip(weights, outs))
     intr = sum(w * np.sum(np.abs(y) ** 2) for w, y in zip(weights, (y1, y2, y3, y4)))
     return h / 6.0 * float(refl), tables.ki * h / 6.0 * float(intr)
 
 
-def _integrate(tables, h: float, n: int, record: bool):
+def _taps(ring, i: int, nb: int, n_sub: int, now: int):
+    """The history taps of steps i .. i+nb-1, ring states j-1 .. j+nb+1 with
+    j = i - n_sub, each stored by step `now`; None without a delay."""
+    if not n_sub:
+        return None
+    slots = len(ring)
+    oldest, newest = i - n_sub - 1, i - n_sub + nb + 1
+    if oldest <= now - slots or newest > now:
+        raise HistoryUnderrun(
+            f"steps {oldest}..{newest} are outside a {slots}-slot buffer at step {now}")
+    lo = oldest % slots
+    return (ring[lo:lo + nb + 3] if lo + nb + 3 <= slots
+            else ring[np.arange(oldest, newest + 1) % slots])
+
+
+def _integrate(tables, h: float, n: int):
     """Run n RK4 steps of the tables' equation from A = 0, a block at a time.
 
-    Returns (final_amplitude, amplitude, reflected, intrinsic); the last three
-    are None/0 unless `record` (single-cell mode).
+    Returns (final_amplitude, ring, reflected, intrinsic); a one-cell ring holds
+    the whole run, and its energy is summed per chunk (0 on a grid).
     """
     shape, n_sub = tables.shape, tables.n_sub
     cells = math.prod(shape)
     block = _block_length(cells, n_sub)
     chunk = _chunk_length(shape, block)
     scalar = cells == 1
-    slots = n_sub + block + 4
-    # the states of the last steps; zeroed, so history before tau = 0 reads 0
+    slots = n_sub + block + 4 + (n if scalar else 0)
+    work = 16 * slots * cells + min(chunk, n) * _step_bytes(shape)
+    if work > _WORK_BYTES:
+        raise DomainError(
+            f"{cells} cells x {n} steps need about {work / 2**30:.3g} GiB, "
+            f"over the {_WORK_BYTES / 2**30:.3g} GiB work budget")
+    # zeroed, so history before tau = 0 (the slots past the stored steps) reads 0
     ring = np.zeros((slots,) + shape, dtype=complex)
-    amp = np.zeros(n + 1, dtype=complex) if record else None
     a = 0.0 if scalar else ring[0]
     refl = intr = 0.0
     for i0 in range(0, n, chunk):
@@ -599,42 +621,37 @@ def _integrate(tables, h: float, n: int, record: bool):
         tables.load(2 * i0, 2 * i1)
         for i in range(i0, i1, block):
             nb = min(block, i1 - i)
-            taps = None
-            if n_sub:
-                oldest, newest = i - n_sub - 1, i - n_sub + nb + 1
-                if oldest <= i - slots or newest > i:
-                    raise HistoryUnderrun(
-                        f"steps {oldest}..{newest} are outside a {slots}-slot buffer at step {i}")
-                lo = oldest % slots
-                taps = (ring[lo:lo + nb + 3] if lo + nb + 3 <= slots
-                        else ring[np.arange(oldest, newest + 1) % slots])
             s = slice(2 * (i - i0), 2 * (i - i0 + nb) + 1)
-            p, q = tables.step_map(s, taps)
-            t = np.arange(i + 1, i + nb + 1) % slots
+            p, q = tables.step_map(s, _taps(ring, i, nb, n_sub, i))
             if scalar:
                 # Python numbers make the two-operation update cheap per step
-                states = [a]
+                states = []
                 for pk, qk in zip(p.ravel().tolist(), q.ravel().tolist()):
                     a = pk * a + qk
                     states.append(a)
-                states = np.reshape(states, (nb + 1,) + shape)
-                ring[t] = states[1:]
+                ring[i + 1:i + nb + 1] = np.reshape(states, (nb,) + shape)
             else:
                 # each state goes straight into its ring slot
-                for pk, qk, k in zip(p, q, t):
+                for pk, qk, k in zip(p, q, np.arange(i + 1, i + nb + 1) % slots):
                     a = np.multiply(pk, a, out=ring[k])
                     a += qk
-            if record:
-                amp[i + 1:i + nb + 1] = states[1:].ravel()
-                block_refl, block_intr = _quadratures(
-                    tables, s, tables.coefficient(s), tables.forcing(s, taps),
-                    states[:-1], h)
-                refl += block_refl
-                intr += block_intr
+        if scalar:
+            chunk_refl, chunk_intr = _quadratures(
+                tables, _taps(ring, i0, i1 - i0, n_sub, i1), ring[i0:i1], h)
+            refl += chunk_refl
+            intr += chunk_intr
     a = np.reshape(a, shape)
     if not np.all(np.isfinite(a)):
         raise IntegrationError("non-finite amplitude; reduce the step size")
-    return a, amp, refl, intr
+    return a, ring, refl, intr
+
+
+def _transfer(tables, h: float, n: int) -> TransferResult:
+    """Integrate one cell's tables into its fidelity, trajectory and losses."""
+    a, ring, refl, intr = _integrate(tables, h, n)
+    return TransferResult(fidelity=(np.abs(a) ** 2).item(), tau=np.arange(n + 1) * h,
+                          amplitude=ring[:n + 1].ravel(), reflected_fraction=refl,
+                          intrinsic_fraction=intr)
 
 
 def simulate_transfer(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
@@ -645,24 +662,19 @@ def simulate_transfer(config: TransferConfig, profile, step: float | None = None
     """
     h = _DEFAULT_STEP if step is None else float(step)
     n = _ode_step_count(config.horizon, h)
-    tables = _FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e, h)
-    a, amp, refl, intr = _integrate(tables, h, n, record=True)
-    return TransferResult(fidelity=float(a) ** 2, tau=np.arange(n + 1) * h,
-                          amplitude=amp, reflected_fraction=refl,
-                          intrinsic_fraction=intr)
+    return _transfer(_FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e, h),
+                     h, n)
 
 
-def _retarded(config: TransferConfig, profile, dm, dc, step: float | None,
-              record: bool):
-    """Integrate the retarded transfer over lag grids dm, dc (seconds)."""
+def _retarded(config: TransferConfig, profile, dm, dc, step: float | None):
+    """Retarded tables over lag grids dm, dc (seconds), their step and step count."""
     ke = config.kappa_e
     lag = ke * config.delta_f
     h, n_sub = _delay_step(lag, step)
     n = _ode_step_count(config.horizon, h)
     tables = _RetardedTables(profile, config.ratio, config.kappa_i / ke, lag, n_sub,
                              ke * dm, ke * dc, h)
-    a, amp, refl, intr = _integrate(tables, h, n, record)
-    return np.abs(a) ** 2, np.arange(n + 1) * h, amp, refl, intr
+    return tables, h, n
 
 
 def simulate_with_delay(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
@@ -673,11 +685,8 @@ def simulate_with_delay(config: TransferConfig, profile, step: float | None = No
     the retarded master equation; cavity history before tau = 0 is zero.
     With all delays zero this reproduces :func:`simulate_transfer`.
     """
-    fid, tau, amp, refl, intr = _retarded(
-        config, profile, np.array([config.delta_m]), np.array([config.delta_c]),
-        step, record=True)
-    return TransferResult(fidelity=float(fid[0, 0]), tau=tau, amplitude=amp,
-                          reflected_fraction=refl, intrinsic_fraction=intr)
+    return _transfer(*_retarded(config, profile, np.array([config.delta_m]),
+                                np.array([config.delta_c]), step))
 
 
 def optimize_delays(config: TransferConfig, profile, dm_grid, dc_grid,
@@ -691,7 +700,7 @@ def optimize_delays(config: TransferConfig, profile, dm_grid, dc_grid,
     dc = np.asarray(dc_grid, dtype=float)
     if dm.size == 0 or dc.size == 0:
         raise DomainError("delay grids must be non-empty")
-    fid, _, _, _, _ = _retarded(config, profile, dm, dc, step, record=False)
+    fid = np.abs(_integrate(*_retarded(config, profile, dm, dc, step))[0]) ** 2
     best = np.max(fid)
     ties = np.argwhere(fid == best)
     key = sorted((abs(dm[i]), abs(dc[j]), dm[i], dc[j], i, j) for i, j in ties)

@@ -210,6 +210,19 @@ def test_memory_optimize_grid_does_not_pass_stop(tmp_path, capsys):
     assert dm.size == 9 and dm[-1] == pytest.approx(56.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["memory", "optimize", "--dm-grid", "0:39:1", "--dc-grid=-39:0:1"],
+    ["memory", "simulate"],
+], ids=["grid", "one-cell"])
+def test_memory_over_work_budget_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(memory, "_WORK_BYTES", 4 << 20)
+    cfg = config_json(tmp_path, delta_f_ns=60, horizon=1.5 if argv[1] == "optimize" else 600)
+    code, out, err = run_cli(capsys, [*argv, "--config", cfg])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+    assert "work budget" in err
+
+
 # --- pmmi -----------------------------------------------------------------------
 
 def write_unitary_csv(path, u):

@@ -2,11 +2,12 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from phoncirc import memory
+from phoncirc import memory, slh
 from phoncirc.errors import (DomainError, InfeasibleCap, IntegrationError,
                              ProfileOutOfRange)
 
@@ -274,9 +275,93 @@ def test_scan_matches_per_cell_runs(monkeypatch, delta_f):
     assert np.max(np.abs(scan.fidelity_grid - np.array(cells))) <= 1e-12
 
 
+CHUNKED_RUNS = {
+    "delay-free": (memory.simulate_transfer, dict(kappa_i=0.02 * KAPPA_E)),
+    "zero-lag": (memory.simulate_with_delay, dict(kappa_i=0.02 * KAPPA_E, delta_c=-34 * NS)),
+    "delay-60ns": (memory.simulate_with_delay,
+                   dict(kappa_i=0.02 * KAPPA_E, delta_f=60 * NS, delta_m=21 * NS,
+                        delta_c=-34 * NS)),
+}
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("run", CHUNKED_RUNS)
+def test_chunking_leaves_runs_unchanged(monkeypatch, run, blocks):
+    # the energy is summed once per table chunk; with a chunk of one block
+    # at 60 ns, the chunk is shorter than the delay and its history taps all
+    # read the zeroed ring tail
+    simulate, kw = CHUNKED_RUNS[run]
+    cfg = config(horizon=3.1, **kw)
+    prof = memory.optimal_profile(1 / 3)
+    want = simulate(cfg, prof)
+    h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
+    block = memory._block_length(1, n_sub)
+    monkeypatch.setattr(memory, "_CHUNK_STEPS", blocks * block)
+    chunk = memory._chunk_length((1, 1), block)
+    assert chunk == blocks * block
+    assert memory._ode_step_count(cfg.horizon, h) % chunk != 0
+    if run == "delay-60ns" and blocks == 1:
+        assert chunk < n_sub
+    got = simulate(cfg, prof)
+    assert got.fidelity == want.fidelity
+    assert np.array_equal(got.amplitude, want.amplitude)
+    assert got.intrinsic_fraction > 1e-3
+    assert abs(got.reflected_fraction - want.reflected_fraction) <= 1e-12
+    assert abs(got.intrinsic_fraction - want.intrinsic_fraction) <= 1e-12
+
+
 def test_optimize_rejects_empty_grid():
     with pytest.raises(DomainError):
         memory.optimize_delays(config(), memory.optimal_profile(1 / 3), [], [0.0])
+
+
+def test_work_budget_refuses_before_integrating(monkeypatch):
+    monkeypatch.setattr(memory, "_WORK_BYTES", 4 << 20)
+    prof = memory.optimal_profile(1 / 3)
+    cfg = config(delta_f=60 * NS, horizon=1.5)
+    small = np.linspace(0.0, 30.0, 4) * NS
+    memory.optimize_delays(cfg, prof, small, small - 40 * NS)
+    memory.simulate_transfer(config(horizon=100.0), prof)
+
+    def no_tables(self, k0, k1):
+        raise AssertionError("tables loaded past the budget")
+
+    monkeypatch.setattr(memory._RetardedTables, "load", no_tables)
+    monkeypatch.setattr(memory._FreeTables, "load", no_tables)
+    # a 40 x 40 grid takes a 16 MiB table chunk besides its 1.6 MiB ring
+    large = np.linspace(0.0, 39.0, 40) * NS
+    with pytest.raises(DomainError, match="budget"):
+        memory.optimize_delays(cfg, prof, large, large - 40 * NS)
+    # a single cell's ring holds its whole run: 300 000 steps, 4.6 MiB
+    with pytest.raises(DomainError, match="budget"):
+        memory.simulate_transfer(config(horizon=600.0), prof)
+
+
+# --- the SLH loop the memory equation models -------------------------------------------------
+
+def _flat(theta):
+    return SimpleNamespace(theta=lambda tau: np.full(np.shape(tau), theta))
+
+
+def test_tables_match_the_slh_loop():
+    # dA/dtau = c A - f is the master equation of the composed loop in units
+    # of kappa_e, driven by the input amplitude sqrt(kappa_e) * pump
+    rng = np.random.default_rng(31)
+    h = 0.002
+    for theta, ki in zip(rng.uniform(0.0, math.pi, 50), rng.uniform(0.0, 0.2, 50)):
+        coeffs = slh.master_eq_coeffs(slh.tunable_coupling_loop(theta, KAPPA_E, ki * KAPPA_E))
+        free = memory._FreeTables(_flat(theta), 1 / 3, ki, h)
+        free.load(0, 2)
+        c = coeffs.drift[0, 0] / KAPPA_E
+        f = -coeffs.input_coupling[0, 0] / math.sqrt(KAPPA_E) * free.pump
+        assert np.max(np.abs(free.coef - c)) <= 1e-14
+        assert np.max(np.abs(free.drive - f)) <= 1e-14
+        # the retarded tables at zero lag and zero clock lags reduce to them
+        zero = np.zeros(1)
+        ret = memory._RetardedTables(_flat(theta), 1 / 3, ki, 0.0, 0, zero, zero, h)
+        ret.load(0, 2)
+        assert np.max(np.abs(ret.coef[:, 0, 0] - free.coef)) <= 1e-14
+        assert np.max(np.abs(ret.known[:, 0, 0] - free.drive)) <= 1e-14
 
 
 # --- single-excitation oracle -----------------------------------------------------------------
