@@ -28,9 +28,8 @@ print(f"\nworking point r = kappa_e/3: a1 = {profile.a1:.4f}, "
 
 print("\n== the schedule: hold theta = 0, then roll toward pi ==")
 for tau in (0.0, 0.3, 0.37, 0.5, 1.0, 2.0, 5.0, 15.0):
-    theta = profile.theta(tau)
-    print(f"  tau = {tau:5.2f}  theta = {theta:5.3f} rad  "
-          f"coupling = {4 * math.cos(theta / 2) ** 2:5.3f} kappa_e")
+    print(f"  tau = {tau:5.2f}  theta = {profile.theta(tau):5.3f} rad  "
+          f"coupling = {profile.coupling(tau):5.3f} kappa_e")
 
 print("\n== integrate the transfer ==")
 cfg = memory.TransferConfig(kappa_e=KAPPA_E, r=KAPPA_E * ratio, kappa_i=0.0)

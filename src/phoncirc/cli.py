@@ -30,6 +30,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -72,8 +73,9 @@ def _load_moduli(path: str | None) -> elasticity.CubicModuli:
     return elasticity.SILICON if path is None else elasticity.CubicModuli.from_json(path)
 
 
-def _parse_grid_ns(text: str) -> np.ndarray:
-    """ "start:stop:step" in ns; the stop point is included when it lies on the step lattice."""
+def _grid_ns(text: str) -> tuple[float, float, int]:
+    """ "start:stop:step" in ns as (start, step, point count); the stop point is
+    included when it lies on the step lattice."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be start:stop:step, got {text!r}")
@@ -81,8 +83,25 @@ def _parse_grid_ns(text: str) -> np.ndarray:
     if (not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start
             or not math.isfinite((stop - start) / step)):
         raise DomainError("grid needs finite values and point count, step > 0, stop >= start")
-    n = math.floor((stop - start) / step + 1e-9) + 1
-    return (start + step * np.arange(n)) * 1e-9
+    return start, step, math.floor((stop - start) / step + 1e-9) + 1
+
+
+def _lag_grids(dm_text: str, dc_text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The mirror and detuning lag grids in seconds.
+
+    They are counted before they are built: a scan's ring holds at least
+    5 slots (n_sub + block + 4) of 16 B per cell, so a grid pair whose ring
+    alone would pass the integrator's work budget is refused unbuilt.
+    """
+    (dm0, dm_step, n_dm), (dc0, dc_step, n_dc) = _grid_ns(dm_text), _grid_ns(dc_text)
+    ring = 16.0 * 5 * n_dm * n_dc
+    if ring > memory._WORK_BYTES:
+        raise DomainError(
+            f"lag grid --dm-grid {dm_text} x --dc-grid {dc_text} has {n_dm} x {n_dc} cells, "
+            f"whose ring alone needs {ring / 2**30:.3g} GiB, over the "
+            f"{memory._WORK_BYTES / 2**30:.3g} GiB work budget")
+    return ((dm0 + dm_step * np.arange(n_dm)) * 1e-9,
+            (dc0 + dc_step * np.arange(n_dc)) * 1e-9)
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode   # compact, C-accelerated
@@ -283,9 +302,7 @@ def _cmd_memory_simulate(args):
 def _cmd_memory_optimize(args):
     config = memory.TransferConfig.from_json(args.config)
     profile = _profile_for(config)
-    scan = memory.optimize_delays(config, profile,
-                                  _parse_grid_ns(args.dm_grid),
-                                  _parse_grid_ns(args.dc_grid))
+    scan = memory.optimize_delays(config, profile, *_lag_grids(args.dm_grid, args.dc_grid))
     summary = {
         "delta_m_ns": scan.delta_m * 1e9,
         "delta_c_ns": scan.delta_c * 1e9,
@@ -299,8 +316,16 @@ def _cmd_memory_optimize(args):
                       for dc, f in zip(scan.dc_grid, row)))
 
 
+def _read_csv(path: str) -> np.ndarray:
+    """The rows of a numeric CSV as a 2-D array.  An empty file reads as no
+    rows without numpy's warning; the caller's shape check refuses it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
 def _read_unitary_csv(path: str) -> np.ndarray:
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    rows = _read_csv(path)
     n = rows.shape[0]
     if rows.shape[1] != 2 * n:
         raise DomainError(f"unitary CSV must be N rows of 2N reals, got {rows.shape}")
@@ -318,7 +343,7 @@ def _cmd_pmmi_apply(args):
     with open(args.plan) as fh:
         plan = circuits.MeshPlan.from_json(fh.read())
     if args.input:
-        row = np.loadtxt(args.input, delimiter=",", ndmin=2)
+        row = _read_csv(args.input)
         if row.shape[0] != 1 or row.shape[1] != 2 * plan.n_modes or not np.isfinite(row).all():
             raise DomainError("input CSV must be one row of 2N finite reals (re, im)")
         x = row[0, 0::2] + 1j * row[0, 1::2]

@@ -106,10 +106,19 @@ def _as_strain(s) -> np.ndarray:
         raise DomainError(f"strain must be a 6-vector, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise DomainError("strain components must be finite")
-    if np.max(np.abs(s)) >= 1.0:
+    return s
+
+
+def _finite(value, what: str, strain=None):
+    """`value`, or DomainError when it overflowed to inf or nan.  Only then is
+    a `strain` with a component at or beyond unity warned about, so that a
+    refused strain prints its error alone."""
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{what} overflows the float range")
+    if strain is not None and np.max(np.abs(strain)) >= 1.0:
         warnings.warn("strain component at or beyond unity; cubic energy expansion is suspect",
                       stacklevel=3)
-    return s
+    return value
 
 
 def _as_gradient(g) -> np.ndarray:
@@ -136,21 +145,23 @@ def strain_energy(s, moduli: CubicModuli = SILICON, order: str = "third") -> flo
     """Strain energy density (J/m^3) at second or third order in the strain."""
     if order not in ("second", "third"):
         raise DomainError(f"order must be 'second' or 'third', got {order!r}")
-    s1, s2, s3, s4, s5, s6 = _as_strain(s)
+    s = _as_strain(s)
+    s1, s2, s3, s4, s5, s6 = s
     c = moduli
-    w = (0.5 * c.c11 * (s1**2 + s2**2 + s3**2)
-         + c.c12 * (s1 * s2 + s1 * s3 + s2 * s3)
-         + 0.5 * c.c44 * (s4**2 + s5**2 + s6**2))
-    if order == "third":
-        w += (c.c111 * (s1**3 + s2**3 + s3**3) / 6.0
-              + 0.5 * c.c112 * (s1**2 * s2 + s1**2 * s3 + s1 * s2**2
-                                + s1 * s3**2 + s2**2 * s3 + s2 * s3**2)
-              + 0.5 * c.c144 * (s1 * s4**2 + s2 * s5**2 + s3 * s6**2)
-              + 0.5 * c.c166 * (s1 * s5**2 + s1 * s6**2 + s2 * s4**2
-                                + s2 * s6**2 + s3 * s4**2 + s3 * s5**2)
-              + c.c123 * s1 * s2 * s3
-              + c.c456 * s4 * s5 * s6)
-    return float(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (0.5 * c.c11 * (s1**2 + s2**2 + s3**2)
+             + c.c12 * (s1 * s2 + s1 * s3 + s2 * s3)
+             + 0.5 * c.c44 * (s4**2 + s5**2 + s6**2))
+        if order == "third":
+            w += (c.c111 * (s1**3 + s2**3 + s3**3) / 6.0
+                  + 0.5 * c.c112 * (s1**2 * s2 + s1**2 * s3 + s1 * s2**2
+                                    + s1 * s3**2 + s2**2 * s3 + s2 * s3**2)
+                  + 0.5 * c.c144 * (s1 * s4**2 + s2 * s5**2 + s3 * s6**2)
+                  + 0.5 * c.c166 * (s1 * s5**2 + s1 * s6**2 + s2 * s4**2
+                                    + s2 * s6**2 + s3 * s4**2 + s3 * s5**2)
+                  + c.c123 * s1 * s2 * s3
+                  + c.c456 * s4 * s5 * s6)
+    return float(_finite(w, "strain energy", s))
 
 
 def phonoelastic_matrix(s, moduli: CubicModuli = SILICON) -> np.ndarray:
@@ -159,32 +170,34 @@ def phonoelastic_matrix(s, moduli: CubicModuli = SILICON) -> np.ndarray:
     At s = 0 this is the conventional cubic stiffness matrix; the linear-in-s
     corrections come from the third-order moduli and satisfy c~(s) . s = dW/ds.
     """
-    s1, s2, s3, s4, s5, s6 = _as_strain(s)
+    s = _as_strain(s)
+    s1, s2, s3, s4, s5, s6 = s
     c = moduli
     m = np.zeros((6, 6))
-    m[0, 0] = c.c11 + 0.5 * c.c111 * s1 + 0.5 * c.c112 * (s2 + s3)
-    m[0, 1] = c.c12 + 0.5 * c.c112 * (s1 + s2) + 0.5 * c.c123 * s3
-    m[0, 2] = c.c12 + 0.5 * c.c112 * (s1 + s3) + 0.5 * c.c123 * s2
-    m[0, 3] = 0.5 * c.c144 * s4
-    m[0, 4] = 0.5 * c.c166 * s5
-    m[0, 5] = 0.5 * c.c166 * s6
-    m[1, 1] = c.c11 + 0.5 * c.c111 * s2 + 0.5 * c.c112 * (s1 + s3)
-    m[1, 2] = c.c12 + 0.5 * c.c112 * (s2 + s3) + 0.5 * c.c123 * s1
-    m[1, 3] = 0.5 * c.c166 * s4
-    m[1, 4] = 0.5 * c.c144 * s5
-    m[1, 5] = 0.5 * c.c166 * s6
-    m[2, 2] = c.c11 + 0.5 * c.c111 * s3 + 0.5 * c.c112 * (s1 + s2)
-    m[2, 3] = 0.5 * c.c166 * s4
-    m[2, 4] = 0.5 * c.c166 * s5
-    m[2, 5] = 0.5 * c.c144 * s6
-    m[3, 3] = c.c44 + 0.5 * c.c144 * s1 + 0.5 * c.c166 * (s2 + s3)
-    m[3, 4] = 0.5 * c.c456 * s6
-    m[3, 5] = 0.5 * c.c456 * s5
-    m[4, 4] = c.c44 + 0.5 * c.c144 * s2 + 0.5 * c.c166 * (s1 + s3)
-    m[4, 5] = 0.5 * c.c456 * s4
-    m[5, 5] = c.c44 + 0.5 * c.c144 * s3 + 0.5 * c.c166 * (s1 + s2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m[0, 0] = c.c11 + 0.5 * c.c111 * s1 + 0.5 * c.c112 * (s2 + s3)
+        m[0, 1] = c.c12 + 0.5 * c.c112 * (s1 + s2) + 0.5 * c.c123 * s3
+        m[0, 2] = c.c12 + 0.5 * c.c112 * (s1 + s3) + 0.5 * c.c123 * s2
+        m[0, 3] = 0.5 * c.c144 * s4
+        m[0, 4] = 0.5 * c.c166 * s5
+        m[0, 5] = 0.5 * c.c166 * s6
+        m[1, 1] = c.c11 + 0.5 * c.c111 * s2 + 0.5 * c.c112 * (s1 + s3)
+        m[1, 2] = c.c12 + 0.5 * c.c112 * (s2 + s3) + 0.5 * c.c123 * s1
+        m[1, 3] = 0.5 * c.c166 * s4
+        m[1, 4] = 0.5 * c.c144 * s5
+        m[1, 5] = 0.5 * c.c166 * s6
+        m[2, 2] = c.c11 + 0.5 * c.c111 * s3 + 0.5 * c.c112 * (s1 + s2)
+        m[2, 3] = 0.5 * c.c166 * s4
+        m[2, 4] = 0.5 * c.c166 * s5
+        m[2, 5] = 0.5 * c.c144 * s6
+        m[3, 3] = c.c44 + 0.5 * c.c144 * s1 + 0.5 * c.c166 * (s2 + s3)
+        m[3, 4] = 0.5 * c.c456 * s6
+        m[3, 5] = 0.5 * c.c456 * s5
+        m[4, 4] = c.c44 + 0.5 * c.c144 * s2 + 0.5 * c.c166 * (s1 + s3)
+        m[4, 5] = 0.5 * c.c456 * s4
+        m[5, 5] = c.c44 + 0.5 * c.c144 * s3 + 0.5 * c.c166 * (s1 + s2)
     # fill the lower triangle; the matrix is symmetric by construction
-    return m + np.triu(m, 1).T
+    return _finite(m + np.triu(m, 1).T, "phonoelastic matrix", s)
 
 
 def strain_110_to_100(s110) -> np.ndarray:
@@ -232,7 +245,8 @@ def bond_rotate(m, xi: float) -> np.ndarray:
     if m.shape != (6, 6):
         raise DomainError(f"expected a 6x6 matrix, got shape {m.shape}")
     b = bond_matrix(xi)
-    return b @ m @ b.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(b @ m @ b.T, "rotated matrix")
 
 
 def deformation_summary(g) -> DeformationSummary:

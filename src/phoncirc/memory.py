@@ -8,10 +8,13 @@ rate r (amplitude sqrt(r) e^{-r t / 2}) reads
               - 2 cos(theta/2) sqrt(r/kappa_e) e^{-(r/2kappa_e) tau},
 
 where theta(tau) is the round-trip phase imposed on the cavity's rightward
-output.  The closed-form optimal capture profile holds theta = 0 (maximum
-coupling 4 kappa_e) until a critical time tau_c, then rolls off so the
-outgoing leakage destructively interferes with the reflected input; its
-asymptotic capture fidelity is the constant ``a1``.
+output, and 4 cos^2(theta/2) the output coupling in units of kappa_e.  The
+closed-form optimal capture profile, :class:`OptimalProfile`, holds the
+maximum coupling 4 (theta = 0) until a critical time tau_c, then rolls it
+off so the outgoing leakage destructively interferes with the reflected
+input; its asymptotic capture fidelity is the constant ``a1``.  The profile
+writes the roll-off once, as a coupling, and its phase is the arccos of that
+coupling (:func:`phase_from_coupling`).
 
 :func:`simulate_with_delay` integrates the retarded version of the same
 equation, where the mirror round trip takes a time delta_f, the mirror
@@ -64,9 +67,7 @@ __all__ = [
     "ProfileConstants",
     "profile_constants",
     "critical_time",
-    "optimal_coupling",
     "phase_from_coupling",
-    "optimal_phase",
     "OptimalProfile",
     "SampledProfile",
     "optimal_profile",
@@ -124,27 +125,6 @@ def critical_time(ratio: float, kappa_e: float) -> float:
     return profile_constants(ratio).tau_c / kappa_e
 
 
-def _rolloff(rho: float, a1: float, tau: np.ndarray) -> np.ndarray:
-    """Interference-matched coupling kappa/kappa_e at times past tau_c."""
-    w = np.exp(-rho * tau)
-    return rho * w / (a1 - w)
-
-
-def optimal_coupling(ratio: float, tau) -> np.ndarray | float:
-    """Optimal output coupling kappa/kappa_e at dimensionless time tau.
-
-    4 during the loading stage tau < tau_c, then the interference-matched
-    roll-off; continuous across tau_c by construction.
-    """
-    rho = _check_ratio(ratio)
-    a1, tau_c = profile_constants(rho)
-    tau_arr = np.asarray(tau, dtype=float)
-    out = np.full(tau_arr.shape, MAX_COUPLING_RATIO)
-    late = tau_arr > tau_c
-    out[late] = _rolloff(rho, a1, tau_arr[late])
-    return float(out) if np.isscalar(tau) else out
-
-
 def phase_from_coupling(kappa_ratio) -> np.ndarray | float:
     """Round-trip phase realizing a coupling kappa/kappa_e in [0, 4].
 
@@ -159,11 +139,6 @@ def phase_from_coupling(kappa_ratio) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def optimal_phase(ratio: float, tau) -> np.ndarray | float:
-    """Optimal phase profile theta(tau): 0 before tau_c, arccos roll-off after."""
-    return optimal_profile(ratio).theta(tau)
-
-
 @dataclass(frozen=True)
 class OptimalProfile:
     """Closed-form optimal capture profile for a given r/kappa_e."""
@@ -172,14 +147,23 @@ class OptimalProfile:
     a1: float
     tau_c: float
 
-    def theta(self, tau):
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.zeros_like(tau_arr)
+    def coupling(self, tau):
+        """Output coupling kappa/kappa_e at dimensionless time tau.
+
+        4 during the loading stage tau <= tau_c, then the interference-matched
+        roll-off rho w / (a1 - w) with w = e^{-rho tau}; continuous across
+        tau_c by construction.
+        """
+        tau_arr = np.asarray(tau, dtype=float)
+        out = np.full(tau_arr.shape, MAX_COUPLING_RATIO)
         late = tau_arr > self.tau_c
-        if np.any(late):
-            out[late] = phase_from_coupling(
-                _rolloff(self.ratio, self.a1, tau_arr[late]))
-        return float(out[0]) if np.isscalar(tau) else out.reshape(np.shape(tau))
+        w = np.exp(-self.ratio * tau_arr[late])
+        out[late] = self.ratio * w / (self.a1 - w)
+        return float(out) if np.isscalar(tau) else out
+
+    def theta(self, tau):
+        """Round-trip phase of :meth:`coupling`: 0 up to tau_c, then rising to pi."""
+        return phase_from_coupling(self.coupling(tau))
 
 
 def optimal_profile(ratio: float) -> OptimalProfile:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,20 @@ def test_memory_over_work_budget_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert "work budget" in err
 
 
+def test_memory_lag_grid_over_work_budget_exits_2_unbuilt(tmp_path, capsys, monkeypatch):
+    # the point counts alone refuse the grid: nothing is built or integrated
+    monkeypatch.setattr(memory, "_WORK_BYTES", 1 << 20)
+    monkeypatch.setattr(memory, "optimize_delays",
+                        lambda *a, **k: pytest.fail("optimize_delays was called"))
+    monkeypatch.setattr(cli.np, "arange", lambda *a, **k: pytest.fail("a grid was built"))
+    cfg = config_json(tmp_path, delta_f_ns=60, horizon=1.5)
+    code, out, err = run_cli(capsys, ["memory", "optimize", "--config", cfg,
+                                      "--dm-grid", "0:2e4:1"])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+    assert "--dm-grid 0:2e4:1" in err and "20001 x 61 cells" in err and "work budget" in err
+
+
 # --- pmmi -----------------------------------------------------------------------
 
 def write_unitary_csv(path, u):
@@ -292,6 +307,17 @@ def test_pmmi_nan_input_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["pmmi", "apply", "--plan", str(plan), "--input", str(vec)])
     assert code == 2 and out == ""
     assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+
+
+def test_pmmi_empty_input_csv_prints_one_line(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(circuits.reck_decompose(np.eye(2, dtype=complex)).to_json())
+    vec = tmp_path / "x.csv"
+    vec.write_text("")
+    proc = subprocess.run([sys.executable, "-m", "phoncirc", "pmmi", "apply", "--plan", str(plan),
+                           "--input", str(vec)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: DomainError") and proc.stderr.count("\n") == 1
 
 
 def test_pmmi_apply_roundtrip(tmp_path, capsys):
@@ -430,6 +456,16 @@ BAD_INPUTS = {
                              ["slh", "compose", "--network"]),
     "plan-recon-error-string": ('{"screen": [0], "elements": [], "reconstruction_error": "x"}',
                                 ["pmmi", "apply", "--basis", "0", "--plan"]),
+    # finite strains whose energy or stiffness overflows the float range
+    "strain-energy-overflow": (None, ["tensor", "energy", "--strain", "[1e200,0,0,0,0,0]"]),
+    "strain-energy-second-order-overflow": (None, ["tensor", "energy", "--order", "second",
+                                                   "--strain", "[0,0,0,0,0,-1e200]"]),
+    "strain-phonoelastic-overflow": (None, ["tensor", "phonoelastic",
+                                            "--strain", "[1e308,1e308,0,0,0,0]"]),
+    "strain-bond-overflow": (None, ["tensor", "bond", "--xi", "0.3",
+                                    "--strain", "[1e308,1e308,0,0,0,0]"]),
+    # an empty CSV: numpy's no-data warning is silenced, the shape check refuses
+    "unitary-empty-csv": ("", ["pmmi", "decompose", "--unitary"]),
 }
 
 # rows whose error must name this key
@@ -449,9 +485,12 @@ def test_bad_input_exits_2(tmp_path, capsys, name):
         path = tmp_path / "input.json"
         path.write_text(text)
         argv = [*argv, str(path)]
-    code, out, err = run_cli(capsys, argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
     if name in NAMED_KEY:
         assert repr(NAMED_KEY[name]) in err
 

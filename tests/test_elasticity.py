@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_energy_rejects_bad_order():
 def test_large_strain_warns():
     with pytest.warns(UserWarning):
         el.strain_energy(np.array([1.5, 0, 0, 0, 0, 0]), SI)
+
+
+def test_overflow_is_refused_before_any_warning():
+    # "error" turns the large-strain UserWarning and numpy's overflow
+    # RuntimeWarnings into exceptions: only the DomainError may come out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="strain energy"):
+            el.strain_energy(np.array([1e200, 0, 0, 0, 0, 0]), SI)
+        with pytest.raises(DomainError, match="phonoelastic"):
+            el.phonoelastic_matrix(np.array([1e308, 1e308, 0, 0, 0, 0]), SI)
+        with pytest.raises(DomainError, match="rotated"):
+            el.bond_rotate(np.full((6, 6), 1e308), math.pi / 4)
 
 
 # --- phonoelastic matrix -------------------------------------------------------

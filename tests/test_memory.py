@@ -50,26 +50,54 @@ def test_fidelity_decreases_with_ratio():
 # --- optimal coupling and phase ----------------------------------------------------
 
 def test_coupling_starts_at_maximum():
-    assert memory.optimal_coupling(1 / 3, 0.0) == 4.0
+    assert memory.optimal_profile(1 / 3).coupling(0.0) == 4.0
 
 
 def test_coupling_decays():
-    assert memory.optimal_coupling(1 / 3, 80.0) < 1e-10
+    assert memory.optimal_profile(1 / 3).coupling(80.0) < 1e-10
 
 
 def test_coupling_continuous_at_switch():
-    tau_c = memory.profile_constants(1 / 3).tau_c
-    lo = memory.optimal_coupling(1 / 3, tau_c * (1 - 1e-12))
-    hi = memory.optimal_coupling(1 / 3, tau_c * (1 + 1e-12))
+    prof = memory.optimal_profile(1 / 3)
+    lo = prof.coupling(prof.tau_c * (1 - 1e-12))
+    hi = prof.coupling(prof.tau_c * (1 + 1e-12))
     assert abs(lo - hi) < 1e-9
 
 
 def test_phase_branches():
-    tau_c = memory.profile_constants(1 / 3).tau_c
-    assert memory.optimal_phase(1 / 3, 0.5 * tau_c) == 0.0
-    assert memory.optimal_phase(1 / 3, 200.0) == pytest.approx(math.pi, abs=1e-6)
+    prof = memory.optimal_profile(1 / 3)
+    tau_c = prof.tau_c
+    assert prof.theta(0.5 * tau_c) == 0.0
+    assert prof.theta(200.0) == pytest.approx(math.pi, abs=1e-6)
     # continuous start of the rise just past tau_c
-    assert memory.optimal_phase(1 / 3, tau_c + 1e-10) < 1e-4
+    assert prof.theta(tau_c + 1e-10) < 1e-4
+
+
+@pytest.mark.parametrize("ratio", [0.1, 1 / 3, 1.0, 2.0, 3.5])
+def test_coupling_matches_the_slh_loop(ratio):
+    # the loop's output rate 2 kappa_e (1 + cos theta) = 4 cos^2(theta/2) kappa_e
+    # at the profile's own phase, on both sides of tau_c
+    prof = memory.optimal_profile(ratio)
+    rng = np.random.default_rng(12)
+    tau = np.concatenate((rng.uniform(0.0, prof.tau_c, 20),
+                          prof.tau_c + rng.exponential(2.0 / ratio, 80)))
+    coupling, theta = prof.coupling(tau), prof.theta(tau)
+    loop = np.array([slh.effective_rate(t, KAPPA_E) / KAPPA_E for t in theta])
+    np.testing.assert_allclose(coupling, loop, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(coupling, 4.0 * np.cos(theta / 2.0) ** 2, rtol=0, atol=1e-12)
+    assert np.all(coupling[:20] == 4.0) and np.all(coupling[20:] < 4.0)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 1 / 3, 3.5])
+def test_profile_keeps_shape_and_switches_after_tau_c(ratio):
+    prof = memory.optimal_profile(ratio)
+    tau = np.array([[0.0, prof.tau_c], [np.nextafter(prof.tau_c, np.inf), 5.0]])
+    coupling, theta = prof.coupling(tau), prof.theta(tau)
+    assert coupling.shape == theta.shape == (2, 2)
+    assert coupling[0].tolist() == [4.0, 4.0] and theta[0].tolist() == [0.0, 0.0]
+    assert abs(coupling[1, 0] - 4.0) < 1e-12 and theta[1, 0] < 1e-6
+    assert type(prof.coupling(prof.tau_c)) is float and type(prof.theta(5.0)) is float
+    assert prof.coupling(5.0) == coupling[1, 1] and prof.theta(5.0) == theta[1, 1]
 
 
 def test_phase_from_coupling_domain():
