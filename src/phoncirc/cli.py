@@ -20,7 +20,8 @@ frequencies in Hz and are multiplied by 2*pi internally; delays are in ns.
 Exit codes: 0 success, 2 for an :class:`~phoncirc.errors.InputError` or a
 ``ValueError``, ``KeyError`` or ``OSError`` from reading the input, 1 for a
 :class:`~phoncirc.errors.ComputationError` or any other exception; either
-failure prints one line on stderr and nothing on stdout.
+failure prints one line on stderr and nothing on stdout, and the warnings
+raised on the way to it are dropped.
 """
 
 from __future__ import annotations
@@ -431,7 +432,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        result, csv = args.func(args)
+        # a refused run prints its one error line alone: the verb's warnings
+        # are shown only once it has succeeded
+        with warnings.catch_warnings(record=True) as caught:
+            result, csv = args.func(args)
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         _emit(args, result, csv, t0)
     except (InputError, ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)

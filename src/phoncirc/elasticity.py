@@ -1,11 +1,16 @@
 """Finite-strain elasticity and phase-shifter response for diamond-cubic silicon.
 
 Strain vectors use Voigt order (xx, yy, zz, yz, xz, xy) with engineering
-shears: s4 = 2*s_yz, s5 = 2*s_xz, s6 = 2*s_xy.  With that convention the
-quadratic energy is W2 = (1/2) s . C . s for the standard cubic stiffness
-matrix, and the strain-dependent stiffness returned by
-:func:`phonoelastic_matrix` satisfies T = c~(s) . s = dW/ds exactly for
-W = W2 + W3 (checked by the gradient-consistency tests).
+shears: s4 = 2*s_yz, s5 = 2*s_xz, s6 = 2*s_xy.  The moduli of a cubic (m-3m)
+crystal are held as two fully symmetric Voigt tensors,
+:attr:`CubicModuli.tensors`: C2 (6x6) and C3 (6x6x6).  Each is built from
+its independent constants (c11, c12, c44 and c111 ... c456), copied to every
+relabelling of the x, y, z axes and every order of its indices.  The energy
+is W = (1/2) s . C2 . s + (1/6) s . (C3 . s) . s, and the strain-dependent
+stiffness returned by :func:`phonoelastic_matrix` is c~(s) = C2 + (1/2) C3 . s
+(Thurston & Brugger, Phys. Rev. 133, A1604, 1964).  Because C3 is symmetric
+in all three indices, c~(s) . s = dW/ds holds by construction, not by two
+hand expansions agreeing; the gradient-consistency tests check it.
 
 Moduli are stored in Pa.  The bundled default set :data:`SILICON` covers
 the second- and third-order constants of Si.
@@ -13,9 +18,11 @@ the second- and third-order constants of Si.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -68,14 +75,35 @@ class CubicModuli:
         data = read_object(source, asdict(SILICON), "moduli")
         return cls(**{name: float(v) for name, v in json_numbers(data, "modulus").items()})
 
+    @cached_property
+    def tensors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only Voigt tensors C2 (6x6) and C3 (6x6x6), in Pa."""
+        return (_voigt_tensor({(0, 0): self.c11, (0, 1): self.c12, (3, 3): self.c44}),
+                _voigt_tensor({(0, 0, 0): self.c111, (0, 0, 1): self.c112,
+                               (0, 1, 2): self.c123, (0, 3, 3): self.c144,
+                               (0, 4, 4): self.c166, (3, 4, 5): self.c456}))
+
     def stiffness_matrix(self) -> np.ndarray:
         """Zero-strain cubic stiffness matrix (6x6, Pa)."""
-        c = np.zeros((6, 6))
-        c[0, 0] = c[1, 1] = c[2, 2] = self.c11
-        c[0, 1] = c[0, 2] = c[1, 2] = self.c12
-        c[1, 0] = c[2, 0] = c[2, 1] = self.c12
-        c[3, 3] = c[4, 4] = c[5, 5] = self.c44
-        return c
+        return self.tensors[0].copy()
+
+
+# the six relabellings of the x, y, z axes acting on Voigt indices: a
+# permutation p sends normal strain i to p[i] and the shear across axis i
+# (Voigt index 3 + i) to 3 + p[i]
+_AXIS_PERMUTATIONS = [p + tuple(3 + i for i in p) for p in itertools.permutations(range(3))]
+
+
+def _voigt_tensor(entries: dict) -> np.ndarray:
+    """The read-only cubic Voigt tensor with the given independent entries,
+    each copied to every relabelling of the axes and every order of its indices."""
+    t = np.zeros((6,) * len(next(iter(entries))))
+    for index, value in entries.items():
+        for p in _AXIS_PERMUTATIONS:
+            for order in itertools.permutations(p[i] for i in index):
+                t[order] = value
+    t.flags.writeable = False
+    return t
 
 
 #: Si moduli (Pa): c11, c12, c44 and the six independent third-order constants.
@@ -146,21 +174,11 @@ def strain_energy(s, moduli: CubicModuli = SILICON, order: str = "third") -> flo
     if order not in ("second", "third"):
         raise DomainError(f"order must be 'second' or 'third', got {order!r}")
     s = _as_strain(s)
-    s1, s2, s3, s4, s5, s6 = s
-    c = moduli
+    c2, c3 = moduli.tensors
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (0.5 * c.c11 * (s1**2 + s2**2 + s3**2)
-             + c.c12 * (s1 * s2 + s1 * s3 + s2 * s3)
-             + 0.5 * c.c44 * (s4**2 + s5**2 + s6**2))
+        w = 0.5 * (s @ c2 @ s)
         if order == "third":
-            w += (c.c111 * (s1**3 + s2**3 + s3**3) / 6.0
-                  + 0.5 * c.c112 * (s1**2 * s2 + s1**2 * s3 + s1 * s2**2
-                                    + s1 * s3**2 + s2**2 * s3 + s2 * s3**2)
-                  + 0.5 * c.c144 * (s1 * s4**2 + s2 * s5**2 + s3 * s6**2)
-                  + 0.5 * c.c166 * (s1 * s5**2 + s1 * s6**2 + s2 * s4**2
-                                    + s2 * s6**2 + s3 * s4**2 + s3 * s5**2)
-                  + c.c123 * s1 * s2 * s3
-                  + c.c456 * s4 * s5 * s6)
+            w += s @ (c3 @ s) @ s / 6.0
     return float(_finite(w, "strain energy", s))
 
 
@@ -171,33 +189,13 @@ def phonoelastic_matrix(s, moduli: CubicModuli = SILICON) -> np.ndarray:
     corrections come from the third-order moduli and satisfy c~(s) . s = dW/ds.
     """
     s = _as_strain(s)
-    s1, s2, s3, s4, s5, s6 = s
-    c = moduli
-    m = np.zeros((6, 6))
+    c2, c3 = moduli.tensors
+    # C3 . s/2 as products summed along the last index in one fixed order, so
+    # that entries (i, j) and (j, i) are bitwise equal whatever the BLAS;
+    # halving s first keeps the sums finite as far as the entries are
     with np.errstate(over="ignore", invalid="ignore"):
-        m[0, 0] = c.c11 + 0.5 * c.c111 * s1 + 0.5 * c.c112 * (s2 + s3)
-        m[0, 1] = c.c12 + 0.5 * c.c112 * (s1 + s2) + 0.5 * c.c123 * s3
-        m[0, 2] = c.c12 + 0.5 * c.c112 * (s1 + s3) + 0.5 * c.c123 * s2
-        m[0, 3] = 0.5 * c.c144 * s4
-        m[0, 4] = 0.5 * c.c166 * s5
-        m[0, 5] = 0.5 * c.c166 * s6
-        m[1, 1] = c.c11 + 0.5 * c.c111 * s2 + 0.5 * c.c112 * (s1 + s3)
-        m[1, 2] = c.c12 + 0.5 * c.c112 * (s2 + s3) + 0.5 * c.c123 * s1
-        m[1, 3] = 0.5 * c.c166 * s4
-        m[1, 4] = 0.5 * c.c144 * s5
-        m[1, 5] = 0.5 * c.c166 * s6
-        m[2, 2] = c.c11 + 0.5 * c.c111 * s3 + 0.5 * c.c112 * (s1 + s2)
-        m[2, 3] = 0.5 * c.c166 * s4
-        m[2, 4] = 0.5 * c.c166 * s5
-        m[2, 5] = 0.5 * c.c144 * s6
-        m[3, 3] = c.c44 + 0.5 * c.c144 * s1 + 0.5 * c.c166 * (s2 + s3)
-        m[3, 4] = 0.5 * c.c456 * s6
-        m[3, 5] = 0.5 * c.c456 * s5
-        m[4, 4] = c.c44 + 0.5 * c.c144 * s2 + 0.5 * c.c166 * (s1 + s3)
-        m[4, 5] = 0.5 * c.c456 * s4
-        m[5, 5] = c.c44 + 0.5 * c.c144 * s3 + 0.5 * c.c166 * (s1 + s2)
-    # fill the lower triangle; the matrix is symmetric by construction
-    return _finite(m + np.triu(m, 1).T, "phonoelastic matrix", s)
+        m = c2 + (c3 * (0.5 * s)).sum(axis=2)
+    return _finite(m, "phonoelastic matrix", s)
 
 
 def strain_110_to_100(s110) -> np.ndarray:

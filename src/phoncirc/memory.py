@@ -122,7 +122,10 @@ def critical_time(ratio: float, kappa_e: float) -> float:
     """Critical switch time in seconds for a cavity with rate kappa_e (rad/s)."""
     if not 0.0 < kappa_e < math.inf:
         raise DomainError("kappa_e must be positive and finite")
-    return profile_constants(ratio).tau_c / kappa_e
+    t_c = profile_constants(ratio).tau_c / kappa_e
+    if not math.isfinite(t_c):
+        raise DomainError(f"critical time overflows the float range at kappa_e = {kappa_e:.3g}")
+    return t_c
 
 
 def phase_from_coupling(kappa_ratio) -> np.ndarray | float:
@@ -579,11 +582,14 @@ def _taps(ring, i: int, nb: int, n_sub: int, now: int):
             else ring[np.arange(oldest, newest + 1) % slots])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(tables, h: float, n: int):
     """Run n RK4 steps of the tables' equation from A = 0, a block at a time.
 
-    Returns (final_amplitude, ring, reflected, intrinsic); a one-cell ring holds
-    the whole run, and its energy is summed per chunk (0 on a grid).
+    Returns (fidelity |A|^2, ring, reflected, intrinsic); a one-cell ring holds
+    the whole run, and its energy is summed per chunk (0 on a grid).  A
+    fidelity or energy that is not finite (an unstable step overflowed) is
+    refused as an IntegrationError, without numpy's overflow warnings.
     """
     shape, n_sub = tables.shape, tables.n_sub
     cells = math.prod(shape)
@@ -624,16 +630,16 @@ def _integrate(tables, h: float, n: int):
                 tables, _taps(ring, i0, i1 - i0, n_sub, i1), ring[i0:i1], h)
             refl += chunk_refl
             intr += chunk_intr
-    a = np.reshape(a, shape)
-    if not np.all(np.isfinite(a)):
-        raise IntegrationError("non-finite amplitude; reduce the step size")
-    return a, ring, refl, intr
+    fidelity = np.abs(np.reshape(a, shape)) ** 2
+    if not (np.all(np.isfinite(fidelity)) and math.isfinite(refl) and math.isfinite(intr)):
+        raise IntegrationError("non-finite fidelity or energy; reduce the step size")
+    return fidelity, ring, refl, intr
 
 
 def _transfer(tables, h: float, n: int) -> TransferResult:
     """Integrate one cell's tables into its fidelity, trajectory and losses."""
-    a, ring, refl, intr = _integrate(tables, h, n)
-    return TransferResult(fidelity=(np.abs(a) ** 2).item(), tau=np.arange(n + 1) * h,
+    fidelity, ring, refl, intr = _integrate(tables, h, n)
+    return TransferResult(fidelity=fidelity.item(), tau=np.arange(n + 1) * h,
                           amplitude=ring[:n + 1].ravel(), reflected_fraction=refl,
                           intrinsic_fraction=intr)
 
@@ -684,7 +690,7 @@ def optimize_delays(config: TransferConfig, profile, dm_grid, dc_grid,
     dc = np.asarray(dc_grid, dtype=float)
     if dm.size == 0 or dc.size == 0:
         raise DomainError("delay grids must be non-empty")
-    fid = np.abs(_integrate(*_retarded(config, profile, dm, dc, step))[0]) ** 2
+    fid = _integrate(*_retarded(config, profile, dm, dc, step))[0]
     best = np.max(fid)
     ties = np.argwhere(fid == best)
     key = sorted((abs(dm[i]), abs(dc[j]), dm[i], dc[j], i, j) for i, j in ties)

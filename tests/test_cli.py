@@ -464,6 +464,14 @@ BAD_INPUTS = {
                                             "--strain", "[1e308,1e308,0,0,0,0]"]),
     "strain-bond-overflow": (None, ["tensor", "bond", "--xi", "0.3",
                                     "--strain", "[1e308,1e308,0,0,0,0]"]),
+    # the stiffness is finite and warns of the large strain, the rotation
+    # overflows: the refusal prints alone
+    "strain-bond-rotation-overflow": (None, ["tensor", "bond", "--xi", "0.785", "--strain",
+                                             "[-1.874371859296482e+296,-1.874371859296482e+296,"
+                                             "-1.874371859296482e+296,0,0,0]"]),
+    # a subnormal rate whose critical time tau_c / kappa_e overflows
+    "critical-time-overflow": (None, ["memory", "fidelity", "--ratio", "1",
+                                      "--kappa-e-hz", "1e-320"]),
     # an empty CSV: numpy's no-data warning is silenced, the shape check refuses
     "unitary-empty-csv": ("", ["pmmi", "decompose", "--unitary"]),
 }
@@ -504,6 +512,30 @@ def test_plan_float_port_exits_2(tmp_path, capsys, port):
     code, out, err = run_cli(capsys, ["pmmi", "apply", "--basis", "0", "--plan", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("invalid input: DimensionMismatch") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", [["simulate"],
+                                  ["optimize", "--dm-grid", "0:2:1", "--dc-grid=-2:0:1"]],
+                         ids=["simulate", "optimize"])
+@pytest.mark.parametrize("delay", [{}, {"delta_f_ns": 60}], ids=["free", "delayed"])
+def test_overflowing_fidelity_exits_1(tmp_path, capsys, verb, delay):
+    # kappa_i / kappa_e = 3333 puts the decay rate times the default step, about
+    # 3.3, past RK4's stability limit of 2.79: |A|^2 and the energies overflow
+    cfg = config_json(tmp_path, kappa_i_hz=1e9, horizon=1.5, **delay)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["memory", *verb, "--config", cfg])
+    assert code == 1 and out == ""
+    assert err.startswith("error: IntegrationError") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
+def test_accepted_large_strain_warns_once(capsys):
+    with pytest.warns(UserWarning, match="beyond unity") as caught:
+        code, out, _ = run_cli(capsys, ["tensor", "bond", "--xi", "0.3",
+                                        "--strain", "[1.5,0,0,0,0,0]"])
+    assert code == 0 and result_of(out)["xi_rad"] == 0.3
+    assert len(caught) == 1
 
 
 def _subclasses(cls):

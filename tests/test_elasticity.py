@@ -5,8 +5,11 @@ import json
 import math
 import warnings
 
+import elasticity_reference as ref
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phoncirc import elasticity as el
 from phoncirc.errors import DomainError, NonPhysicalDeformation
@@ -123,6 +126,60 @@ def test_stress_matches_energy_gradient():
         stress = el.phonoelastic_matrix(s, SI) @ s
         fd = _fd_stress(s)
         assert np.max(np.abs(stress - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+# --- the Voigt tensors against the hand-written oracle ----------------------------
+
+SECOND = ("c11", "c12", "c44")
+THIRD = ("c111", "c112", "c123", "c144", "c166", "c456")
+
+
+def _moduli_around_si(second, third):
+    """Si with c11..c44 scaled by `second` and c111..c456 shifted by `third` (Pa)."""
+    return el.CubicModuli(**{n: getattr(SI, n) * f for n, f in zip(SECOND, second)},
+                          **{n: getattr(SI, n) + d for n, d in zip(THIRD, third)})
+
+
+def _assert_matches_oracle(s, moduli):
+    # bars: 1e-14 of the second-order energy, and of the matrix's largest
+    # entry; the 1e-290 J/m^3 floor only covers strains below 1.5e-154,
+    # whose squares the oracle underflows to 0
+    w2 = ref.strain_energy(s, moduli, "second")
+    for order in ("second", "third"):
+        assert abs(el.strain_energy(s, moduli, order)
+                   - ref.strain_energy(s, moduli, order)) <= 1e-14 * w2 + 1e-290
+    want = ref.phonoelastic_matrix(s, moduli)
+    got = el.phonoelastic_matrix(s, moduli)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(got, got.T)
+
+
+def test_tensors_are_read_only_and_fully_symmetric():
+    c2, c3 = SI.tensors
+    assert SI.tensors is SI.tensors
+    assert not (c2.flags.writeable or c3.flags.writeable)
+    assert np.array_equal(c2, c2.T)
+    for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        assert np.array_equal(c3, c3.transpose(axes))
+    assert np.array_equal(SI.stiffness_matrix(), ref.stiffness_matrix(SI))
+
+
+def test_seeded_strains_match_oracle():
+    rng = np.random.default_rng(2024)
+    for k in range(1000):
+        moduli = SI if k % 2 else _moduli_around_si(rng.uniform(0.8, 1.2, 3),
+                                                     rng.uniform(-300e9, 300e9, 6))
+        _assert_matches_oracle(0.02 * rng.uniform(-1, 1, 6), moduli)
+
+
+# moduli drawn around Si: random values catch a constant placed in the wrong
+# slot even where the Si values happen to hide it
+@settings(max_examples=300, deadline=None)
+@given(s=st.lists(st.floats(-2e-2, 2e-2), min_size=6, max_size=6),
+       second=st.lists(st.floats(0.8, 1.2), min_size=3, max_size=3),
+       third=st.lists(st.floats(-300e9, 300e9), min_size=6, max_size=6))
+def test_energy_and_matrix_match_oracle(s, second, third):
+    _assert_matches_oracle(np.array(s), _moduli_around_si(second, third))
 
 
 # --- frame transform and Bond rotation -----------------------------------------
