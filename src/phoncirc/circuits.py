@@ -37,6 +37,7 @@ import cmath
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "reck_decompose",
     "mesh_apply",
     "haar_unitary",
+    "read_csv",
     "CalibrationCurve",
     "phase_from_voltage",
     "mirror_state",
@@ -289,6 +291,15 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def read_csv(source) -> np.ndarray:
+    """The rows of a numeric CSV (a path or an open file) as a 2-D array.  An
+    empty file reads as no rows without numpy's warning; the caller's shape
+    check refuses it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, delimiter=",", ndmin=2)
+
+
 @dataclass(frozen=True)
 class CalibrationCurve:
     """Measured (voltage, band shift) or (voltage, phase) table.
@@ -307,6 +318,8 @@ class CalibrationCurve:
         y = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.shape != y.shape or v.size < 2:
             raise DomainError("calibration needs matching 1-d arrays with >= 2 points")
+        if not (np.isfinite(v).all() and np.isfinite(y).all()):
+            raise DomainError("calibration voltages and values must be finite")
         if np.any(np.diff(v) <= 0.0):
             raise DomainError("calibration voltages must be strictly increasing")
         if self.kind not in ("delta_f", "phase"):
@@ -319,13 +332,15 @@ class CalibrationCurve:
         """Read "voltage_v,delta_f_hz" or "voltage_v,phase_rad" CSV."""
         with open(path) as fh:
             header = fh.readline().strip().lower()
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = read_csv(fh)
         if header == "voltage_v,delta_f_hz":
             kind = "delta_f"
         elif header == "voltage_v,phase_rad":
             kind = "phase"
         else:
             raise DomainError(f"unrecognized calibration header {header!r}")
+        if rows.shape[1] != 2:
+            raise DomainError(f"calibration CSV must be rows of 2 numbers, got shape {rows.shape}")
         return cls(rows[:, 0], rows[:, 1], kind)
 
     def sample(self, v: float) -> float:

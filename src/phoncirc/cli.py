@@ -10,10 +10,13 @@ to a file.  The manifest echoes the resolved parameters and the wall time;
 everything else is deterministic for identical inputs.
 
 JSON is written as ``json.dump(obj, indent=2, sort_keys=True)`` would write
-it, byte for byte, by a streamed writer (:func:`_write_json`) that hands
-lists of numbers and runs of flat numeric records to the C encoder; CSV rows
-are formatted ``%.12g`` from one row template as they are written.  The
-``json`` module reads every input file.
+it, byte for byte, by a streamed writer (:func:`_write_json`).  The writer
+lays out by hand only the indentation of non-empty objects and arrays, which
+the C encoder cannot produce (the indenting encoder is the pure-Python one);
+every scalar, key and empty container, each list of numbers and each run of
+flat numeric records is encoded by the C encoder.  CSV rows are formatted
+``%.12g`` from one row template as they are written.  The ``json`` module
+reads every input file.
 
 Frequency-like inputs (kappa_e, r, detunings, band shifts) are ordinary
 frequencies in Hz and are multiplied by 2*pi internally; delays are in ns.
@@ -88,7 +91,7 @@ def _grid_ns(text: str) -> tuple[float, float, int]:
 
 
 def _lag_grids(dm_text: str, dc_text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The mirror and detuning lag grids in seconds.
+    """The mirror and detuning lag grids in ns.
 
     They are counted before they are built: a scan's ring holds at least
     5 slots (n_sub + block + 4) of 16 B per cell, so a grid pair whose ring
@@ -101,8 +104,7 @@ def _lag_grids(dm_text: str, dc_text: str) -> tuple[np.ndarray, np.ndarray]:
             f"lag grid --dm-grid {dm_text} x --dc-grid {dc_text} has {n_dm} x {n_dc} cells, "
             f"whose ring alone needs {ring / 2**30:.3g} GiB, over the "
             f"{memory._WORK_BYTES / 2**30:.3g} GiB work budget")
-    return ((dm0 + dm_step * np.arange(n_dm)) * 1e-9,
-            (dc0 + dc_step * np.arange(n_dc)) * 1e-9)
+    return dm0 + dm_step * np.arange(n_dm), dc0 + dc_step * np.arange(n_dc)
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode   # compact, C-accelerated
@@ -110,66 +112,37 @@ _LEAF_TYPES = frozenset((int, float, bool, type(None)))
 _CHUNK = 256  # records per write in a list of flat records
 
 
-def _scalar(o) -> str | None:
-    """JSON text of a str, number, bool or None, as ``json`` writes it."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    return None
-
-
 def _write_json(write, obj, level: int = 0) -> None:
     """Stream `obj` to `write` as ``json.dump(obj, indent=2, sort_keys=True)`` does.
 
-    The bytes are the same.  A list of numbers, and each chunk of `_CHUNK`
-    records that share one key set and hold only numbers, goes through the
-    C encoder in one call and is laid out by string replacement or a row
-    template: no string occurs in that text, so its ", " separators are
-    exactly the item separators.
+    The bytes are the same.  Only the indentation of a non-empty dict, list
+    or tuple is written here; every other text (a scalar, ``{}``, ``[]``, a
+    non-str key) comes from the C encoder, which also refuses an unsupported
+    object.  A list of numbers, and each chunk of `_CHUNK` records that share
+    one key set and hold only numbers, goes through the C encoder in one call
+    and is laid out by string replacement or a row template: no string occurs
+    in that text, so its ", " separators are exactly the item separators.
     """
-    text = _scalar(obj)
-    if text is not None:
-        write(text)
-    elif isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)) and obj:
         _write_list(write, obj, level)
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
+    elif isinstance(obj, dict) and obj:
         inner = "\n" + "  " * (level + 1)
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
-                key = _scalar(key)
-                if key is None:
-                    raise TypeError("keys must be str, int, float, bool or None")
+                if not isinstance(key, (int, float, type(None))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = _ENCODE(key)
             write(sep + encode_basestring_ascii(key) + ": ")
             _write_json(write, value, level + 1)
             sep = "," + inner
         write("\n" + "  " * level + "}")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        write(_ENCODE(obj))
 
 
 def _write_list(write, items, level: int) -> None:
-    if not items:
-        write("[]")
-        return
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level + "]"
     if set(map(type, items)) <= _LEAF_TYPES:
@@ -303,30 +276,25 @@ def _cmd_memory_simulate(args):
 def _cmd_memory_optimize(args):
     config = memory.TransferConfig.from_json(args.config)
     profile = _profile_for(config)
-    scan = memory.optimize_delays(config, profile, *_lag_grids(args.dm_grid, args.dc_grid))
+    dm_ns, dc_ns = _lag_grids(args.dm_grid, args.dc_grid)
+    scan = memory.optimize_delays(config, profile, dm_ns * 1e-9, dc_ns * 1e-9)
+    # the chosen lags as the grid's own ns values, not a round trip through seconds
+    i = int(np.argmax(scan.dm_grid == scan.delta_m))
+    j = int(np.argmax(scan.dc_grid == scan.delta_c))
     summary = {
-        "delta_m_ns": scan.delta_m * 1e9,
-        "delta_c_ns": scan.delta_c * 1e9,
+        "delta_m_ns": float(dm_ns[i]),
+        "delta_c_ns": float(dc_ns[j]),
         "fidelity": scan.fidelity,
     }
     if not args.output:
         return summary, None
     return summary, ("delta_m_ns,delta_c_ns,fidelity",
-                     ((dm * 1e9, dc * 1e9, f)
-                      for dm, row in zip(scan.dm_grid, scan.fidelity_grid)
-                      for dc, f in zip(scan.dc_grid, row)))
-
-
-def _read_csv(path: str) -> np.ndarray:
-    """The rows of a numeric CSV as a 2-D array.  An empty file reads as no
-    rows without numpy's warning; the caller's shape check refuses it."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+                     ((dm, dc, f) for dm, row in zip(dm_ns, scan.fidelity_grid)
+                      for dc, f in zip(dc_ns, row)))
 
 
 def _read_unitary_csv(path: str) -> np.ndarray:
-    rows = _read_csv(path)
+    rows = circuits.read_csv(path)
     n = rows.shape[0]
     if rows.shape[1] != 2 * n:
         raise DomainError(f"unitary CSV must be N rows of 2N reals, got {rows.shape}")
@@ -344,7 +312,7 @@ def _cmd_pmmi_apply(args):
     with open(args.plan) as fh:
         plan = circuits.MeshPlan.from_json(fh.read())
     if args.input:
-        row = _read_csv(args.input)
+        row = circuits.read_csv(args.input)
         if row.shape[0] != 1 or row.shape[1] != 2 * plan.n_modes or not np.isfinite(row).all():
             raise DomainError("input CSV must be one row of 2N finite reals (re, im)")
         x = row[0, 0::2] + 1j * row[0, 1::2]

@@ -65,8 +65,8 @@ class CubicModuli:
             raise DomainError("elastic moduli must be finite")
         if not (self.c11 > 0 and self.c44 > 0):
             raise DomainError("c11 and c44 must be positive")
-        if not self.c11 > abs(self.c12):
-            raise DomainError("elastic stability requires c11 > |c12|")
+        if not (self.c11 > self.c12 and self.c11 + 2 * self.c12 > 0):
+            raise DomainError("elastic stability requires c11 > c12 and c11 + 2 c12 > 0")
 
     @classmethod
     def from_json(cls, source) -> "CubicModuli":

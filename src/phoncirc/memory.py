@@ -192,6 +192,8 @@ class SampledProfile:
         th = np.asarray(self.thetas, dtype=float)
         if tau.ndim != 1 or tau.shape != th.shape or tau.size < 2:
             raise DomainError("need matching 1-d tau/theta arrays with >= 2 samples")
+        if not (np.isfinite(tau).all() and np.isfinite(th).all() and math.isfinite(self.tau_c)):
+            raise DomainError("profile samples and tau_c must be finite")
         if np.any(np.diff(tau) <= 0.0):
             raise DomainError("sample times must be strictly increasing")
         if np.any(np.diff(th) < -1e-12):
@@ -220,8 +222,8 @@ def discretize_profile(profile, slope_cap: float = 23.0,
     d theta / d tau.  Raises :class:`InfeasibleCap` when the cap cannot bring
     theta within 0.01 of pi by the horizon.
     """
-    if slope_cap <= 0.0:
-        raise DomainError("slope cap must be positive")
+    if not (math.isfinite(slope_cap) and slope_cap > 0.0):
+        raise DomainError("slope cap must be finite and positive")
     tau_c = profile.tau_c
     if horizon <= tau_c:
         raise DomainError("horizon must exceed the critical time")

@@ -264,10 +264,23 @@ def test_calibration_csv_headers(tmp_path):
 
 
 def test_calibration_validation():
+    for voltages, values in [
+        ([0.0, 0.0], [1.0, 2.0]), ([0.0], [1.0]),
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0]),
+        ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, -math.inf, 2.0]),
+    ]:
+        with pytest.raises(DomainError):
+            cc.CalibrationCurve(voltages, values)
+
+
+@pytest.mark.parametrize("body", ["", "0\n1\n", "0,1,2\n1,2,3\n"],
+                         ids=["no-rows", "one-column", "three-columns"])
+def test_calibration_csv_shape(tmp_path, recwarn, body):
+    p = tmp_path / "cal.csv"
+    p.write_text("voltage_v,delta_f_hz\n" + body)
     with pytest.raises(DomainError):
-        cc.CalibrationCurve([0.0, 0.0], [1.0, 2.0])
-    with pytest.raises(DomainError):
-        cc.CalibrationCurve([0.0], [1.0])
+        cc.CalibrationCurve.from_csv(p)
+    assert not recwarn.list
 
 
 # --- tunable mirror -----------------------------------------------------------------------

@@ -200,6 +200,17 @@ def test_memory_optimize_small_grid(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3
 
 
+def test_memory_optimize_reports_the_grid_ns_values(tmp_path, capsys):
+    # 24 ns through seconds and back reads 24.000000000000004
+    cfg = config_json(tmp_path, delta_f_ns=60, horizon=10)
+    code, out, _ = run_cli(capsys, ["memory", "optimize", "--config", cfg,
+                                    "--dm-grid", "15:27:3", "--dc-grid=-40:-28:3"])
+    assert code == 0
+    assert '"delta_m_ns": 24.0,' in out
+    res = result_of(out)
+    assert res["delta_m_ns"] == 24.0 and res["delta_c_ns"] in (-40.0, -37.0, -34.0, -31.0, -28.0)
+
+
 def test_memory_optimize_grid_does_not_pass_stop(tmp_path, capsys):
     # 60 ns is not on the 7 ns lattice from 0: the grid ends at 56, not 63
     cfg = config_json(tmp_path, delta_f_ns=20, horizon=25)
@@ -406,6 +417,10 @@ BAD_INPUTS = {
     "config-rate-list": ('{"kappa_e_hz": [3e5], "r_hz": 1e5}', ["memory", "simulate", "--config"]),
     "config-horizon-bool": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": true}',
                             ["memory", "simulate", "--config"]),
+    # the bulk modulus c11 + 2 c12 is negative: the energy would be negative
+    "moduli-negative-bulk": ('{"c11": 100e9, "c12": -60e9}',
+                             ["tensor", "energy", "--order", "second",
+                              "--strain", "[0.01,0.01,0.01,0,0,0]", "--moduli"]),
     "moduli-null": ('{"c11": null}', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
     "moduli-not-object": ('[["c11"]]', ["tensor", "energy", "--strain", "zeros", "--moduli"]),
     "strain-bool": (None, ["tensor", "energy", "--strain", "[true,0,0,0,0,0]"]),
@@ -624,6 +639,10 @@ NUMBERS = st.one_of(st.none(), st.booleans(), st.integers(),
                     st.sampled_from([10 ** 40, -(10 ** 40), math.nan, math.inf, -math.inf, -0.0]),
                     st.floats(allow_nan=True, allow_infinity=True))
 SCALARS = st.one_of(NUMBERS, KEYS)
+# non-str keys that json writes as strings; ints, floats and bools sort together
+NUMBER_KEYS = st.one_of(st.integers(), st.booleans(),
+                        st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.floats(allow_nan=True, allow_infinity=True))
 
 
 @st.composite
@@ -651,7 +670,8 @@ DOCUMENTS = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=5), st.tuples(children, children),
         st.dictionaries(KEYS, children, max_size=5), st.lists(NUMBERS, max_size=8),
-        record_lists()),
+        st.dictionaries(NUMBER_KEYS, children, max_size=5),
+        st.dictionaries(st.none(), children), record_lists()),
     max_leaves=12)
 
 
@@ -661,3 +681,13 @@ def test_json_writer_matches_json_dumps(doc):
     chunks = []
     cli._write_json(chunks.append, doc)
     assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{"a": [1, {2}]}, [{"x": 1.0, "y": {2}}], {(1, 2): 0},
+                                 {"a": {(1,): [1.0]}}])
+def test_json_writer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as ours:
+        cli._write_json([].append, doc)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, indent=2, sort_keys=True)
+    assert str(ours.value) == str(theirs.value)

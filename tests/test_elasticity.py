@@ -351,6 +351,17 @@ def test_moduli_stability_check():
                        c123=0, c144=0, c166=0, c456=0)
 
 
+@pytest.mark.parametrize("c12, stable", [(-49.99e9, True), (-50e9, False), (-60e9, False),
+                                         (99.99e9, True), (100e9, False)])
+def test_moduli_born_criterion(c12, stable):
+    # c11 > c12 (shear) and c11 + 2 c12 > 0 (bulk), at c11 = 100 GPa
+    if stable:
+        assert el.CubicModuli.from_json({"c11": 100e9, "c12": c12}).c12 == c12
+    else:
+        with pytest.raises(DomainError, match="stability"):
+            el.CubicModuli.from_json({"c11": 100e9, "c12": c12})
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(el.CubicModuli)])
 def test_moduli_reject_non_finite(name):
     for value in (math.nan, math.inf, -math.inf):

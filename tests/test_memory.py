@@ -142,11 +142,23 @@ def test_discretize_infeasible_cap():
         memory.discretize_profile(prof, slope_cap=0.001, horizon=20.0)
 
 
+@pytest.mark.parametrize("slope_cap", [0.0, -1.0, math.nan, math.inf])
+def test_discretize_refuses_bad_cap(slope_cap):
+    with pytest.raises(DomainError, match="slope cap"):
+        memory.discretize_profile(memory.optimal_profile(1 / 3), slope_cap=slope_cap)
+
+
 def test_sampled_profile_validation():
-    with pytest.raises(DomainError):
-        memory.SampledProfile(np.array([0.0, 1.0]), np.array([0.5, 0.2]), tau_c=0.0)
-    with pytest.raises(DomainError):
-        memory.SampledProfile(np.array([0.0, 1.0]), np.array([0.2, 0.5]), tau_c=2.0)
+    for tau, thetas, tau_c in [
+        ([0.0, 1.0], [0.5, 0.2], 0.0),                    # decreasing
+        ([0.0, 1.0], [0.2, 0.5], 2.0),                    # non-zero before tau_c
+        ([0.0, 1.0, math.nan], [0.0, 0.0, 1.0], 0.5),     # non-finite sample time
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0], 0.5),     # non-finite phase
+        ([0.0, 1.0, math.inf], [0.0, 0.0, 1.0], 0.5),
+        ([0.0, 1.0], [0.2, 0.5], math.nan),               # would skip the tau_c check
+    ]:
+        with pytest.raises(DomainError):
+            memory.SampledProfile(np.array(tau), np.array(thetas), tau_c=tau_c)
 
 
 # --- delay-free simulation ------------------------------------------------------------
