@@ -345,7 +345,7 @@ class CalibrationCurve:
 
     def sample(self, v: float) -> float:
         v = float(v)
-        if v < self.voltages[0] or v > self.voltages[-1]:
+        if not self.voltages[0] <= v <= self.voltages[-1]:
             raise OutOfRange(
                 f"{v} V outside calibration range [{self.voltages[0]}, {self.voltages[-1]}]")
         return float(np.interp(v, self.voltages, self.values))
@@ -373,6 +373,8 @@ def mirror_state(delta_f: float, band_edge_offset: float) -> str:
     above the operating frequency.  Shifting the band down by at least the
     offset (delta_f <= -offset) pushes the operating point into the gap.
     """
-    if band_edge_offset <= 0.0:
-        raise DomainError("band edge offset must be positive")
+    if not 0.0 < band_edge_offset < math.inf:
+        raise DomainError(f"band edge offset must be positive and finite, got {band_edge_offset}")
+    if not math.isfinite(delta_f):
+        raise DomainError(f"band shift must be finite, got {delta_f}")
     return "reflecting" if delta_f <= -band_edge_offset else "propagating"

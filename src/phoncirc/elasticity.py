@@ -205,10 +205,7 @@ def strain_110_to_100(s110) -> np.ndarray:
     shears (no factor 2); the output carries engineering shears, ready for
     :func:`strain_energy` / :func:`phonoelastic_matrix`.
     """
-    s = np.asarray(s110, dtype=float)
-    if s.shape != (6,):
-        raise DomainError(f"expected 6 tensor components, got shape {s.shape}")
-    sxx, syy, szz, syz, sxz, sxy = s
+    sxx, syy, szz, syz, sxz, sxy = _as_strain(s110)
     r2 = math.sqrt(2.0)
     return np.array([
         0.5 * sxx - sxy + 0.5 * syy,
@@ -262,8 +259,10 @@ def path_dilatation(du: float, dw: float, pitch: float) -> float:
     `du` is the axial and `dw` the out-of-plane displacement increment over
     one lattice period of length `pitch` (all in meters).
     """
-    if pitch <= 0.0:
-        raise DomainError("lattice pitch must be positive")
+    if not 0.0 < pitch < math.inf:
+        raise DomainError(f"lattice pitch must be positive and finite, got {pitch}")
+    if not (math.isfinite(du) and math.isfinite(dw)):
+        raise DomainError("displacement increments must be finite")
     return math.hypot(du + pitch, dw) - pitch
 
 
@@ -275,15 +274,17 @@ def phase_accumulation(delta_f: float, v_g: float, length: float,
     constant at fixed operating frequency, so negative delta_f gives a
     positive (forward) phase shift: dphi = -(2 pi delta_f / v_g) L + k dL.
     """
-    if v_g <= 0.0:
-        raise DomainError("group velocity must be positive")
+    if not 0.0 < v_g < math.inf:
+        raise DomainError(f"group velocity must be positive and finite, got {v_g}")
+    if not all(map(math.isfinite, (delta_f, length, k, delta_length))):
+        raise DomainError("delta_f, length, k and delta_length must be finite")
     return -2.0 * math.pi * delta_f / v_g * length + k * delta_length
 
 
 def pi_shift_length(delta_f: float, v_g: float) -> float:
     """Waveguide length (m) needed for a +/- pi phase shift at band shift delta_f."""
-    if v_g <= 0.0:
-        raise DomainError("group velocity must be positive")
-    if delta_f == 0.0:
-        raise DomainError("delta_f must be nonzero")
+    if not 0.0 < v_g < math.inf:
+        raise DomainError(f"group velocity must be positive and finite, got {v_g}")
+    if not 0.0 < abs(delta_f) < math.inf:
+        raise DomainError(f"delta_f must be nonzero and finite, got {delta_f}")
     return v_g / (2.0 * abs(delta_f))

@@ -25,13 +25,16 @@ Integration is fixed-step classical Runge-Kutta.  Because the equation is
 linear in A, one RK4 step is exactly the affine map a[i+1] = P[i] a[i] + Q[i]:
 P depends only on time and the detuning lag, Q on the input and the delayed
 history.  (P, Q) are built for a block of steps at a time as whole-array
-expressions, and a single step loop applies the two-operation update.  A
-block is min(n_sub - 1, 256, max(1, 8192 // cells)) steps long (no n_sub - 1
-term without a delay), where n_sub is the delay in steps and cells the size
-of the lag grid, so that a block's full-grid arrays stay in cache; the step
-is chosen commensurate with the delay, so the history a block needs is
-already stored in a ring buffer and its half-step values come from 4-point
-cubic interpolation.
+expressions, and a single step loop applies the two-operation update.  The
+coefficient tables hold the decay c and the known forcing (the input and
+its echo, without the history); without a delay that is the whole equation
+and the step loop maps it to (P, Q) itself, while the delayed tables add the
+history taps to Q.  A block is min(n_sub - 1, 256, max(1, 8192 // cells))
+steps long (no n_sub - 1 term without a delay), where n_sub is the delay in
+steps and cells the size of the lag grid, so that a block's full-grid arrays
+stay in cache; the step is chosen commensurate with the delay, so the
+history a block needs is already stored in a ring buffer and its half-step
+values come from 4-point cubic interpolation.
 
 On a lag grid P and the RK4 weights of Q depend on (t, delta_c) only, the
 mirror phase and the known forcing on (t, delta_m) only.  The known part of
@@ -53,7 +56,7 @@ single-excitation sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -87,9 +90,11 @@ MAX_COUPLING_RATIO = 4.0
 _DEFAULT_STEP = 0.002      # tau units
 _MIN_STEP = 1e-7
 _ARCCOS_SLACK = 1e-12
-_CONFIG_FIELDS = {"kappa_e_hz": REQUIRED, "r_hz": REQUIRED, "kappa_i_hz": 1.0,
-                  "delta_f_ns": 0.0, "delta_m_ns": 0.0, "delta_c_ns": 0.0,
-                  "horizon": 25.0, "slope_cap": None}
+#: JSON key of a transfer config -> (field, unit factor, default)
+_CONFIG_KEYS = {"kappa_e_hz": ("kappa_e", TWO_PI, REQUIRED), "r_hz": ("r", TWO_PI, REQUIRED),
+                "kappa_i_hz": ("kappa_i", TWO_PI, 1.0), "delta_f_ns": ("delta_f", 1e-9, 0.0),
+                "delta_m_ns": ("delta_m", 1e-9, 0.0), "delta_c_ns": ("delta_c", 1e-9, 0.0),
+                "horizon": ("horizon", 1.0, 25.0), "slope_cap": ("slope_cap", 1.0, None)}
 
 
 class ProfileConstants(NamedTuple):
@@ -170,9 +175,8 @@ class OptimalProfile:
 
 
 def optimal_profile(ratio: float) -> OptimalProfile:
-    rho = _check_ratio(ratio)
-    a1, tau_c = profile_constants(rho)
-    return OptimalProfile(ratio=rho, a1=a1, tau_c=tau_c)
+    a1, tau_c = profile_constants(ratio)
+    return OptimalProfile(ratio=float(ratio), a1=a1, tau_c=tau_c)
 
 
 @dataclass(frozen=True)
@@ -225,8 +229,8 @@ def discretize_profile(profile, slope_cap: float = 23.0,
     if not (math.isfinite(slope_cap) and slope_cap > 0.0):
         raise DomainError("slope cap must be finite and positive")
     tau_c = profile.tau_c
-    if horizon <= tau_c:
-        raise DomainError("horizon must exceed the critical time")
+    if not tau_c < horizon < math.inf:
+        raise DomainError("horizon must be finite and exceed the critical time")
     if slope_cap * (horizon - tau_c) < math.pi - 0.01:
         raise InfeasibleCap(
             f"cap {slope_cap} cannot reach pi - 0.01 within horizon {horizon}")
@@ -265,19 +269,17 @@ class TransferConfig:
     slope_cap: float | None = None
 
     def __post_init__(self):
-        for name in ("kappa_e", "r", "kappa_i", "delta_f", "delta_m", "delta_c",
-                     "horizon", "slope_cap"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if self.kappa_e <= 0.0:
             raise DomainError("kappa_e must be positive")
         if self.kappa_i < 0.0:
             raise DomainError("kappa_i must be non-negative")
-        _check_ratio(self.r / self.kappa_e)
+        tau_c = profile_constants(self.ratio).tau_c
         if self.delta_f < 0.0:
             raise DomainError("round-trip delay must be non-negative")
-        tau_c = profile_constants(self.r / self.kappa_e).tau_c
         if self.horizon <= tau_c:
             raise DomainError(
                 f"horizon {self.horizon} must exceed the critical time {tau_c:.4f}")
@@ -295,19 +297,12 @@ class TransferConfig:
         ordinary (multiplied by 2*pi here), delays are nanoseconds.  Every
         value must be a JSON number; slope_cap may also be null.
         """
-        data = read_object(source, _CONFIG_FIELDS, "transfer config")
+        data = read_object(source, {key: default for key, (_, _, default) in _CONFIG_KEYS.items()},
+                           "transfer config")
         json_numbers({k: v for k, v in data.items() if k != "slope_cap" or v is not None},
                      "config value")
-        return cls(
-            kappa_e=TWO_PI * float(data["kappa_e_hz"]),
-            r=TWO_PI * float(data["r_hz"]),
-            kappa_i=TWO_PI * float(data["kappa_i_hz"]),
-            delta_f=1e-9 * float(data["delta_f_ns"]),
-            delta_m=1e-9 * float(data["delta_m_ns"]),
-            delta_c=1e-9 * float(data["delta_c_ns"]),
-            horizon=float(data["horizon"]),
-            slope_cap=None if data["slope_cap"] is None else float(data["slope_cap"]),
-        )
+        return cls(**{name: None if data[key] is None else unit * float(data[key])
+                      for key, (name, unit, _) in _CONFIG_KEYS.items()})
 
 
 @dataclass(frozen=True)
@@ -351,8 +346,11 @@ def _ode_step_count(horizon: float, h: float) -> int:
 
 
 def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
-    """Step size commensurate with the delay, and the delay in steps."""
+    """Step size commensurate with the delay, and the delay in steps (0 and
+    the step itself without a delay)."""
     h0 = _DEFAULT_STEP if step is None else float(step)
+    if not 0.0 < h0 < math.inf:
+        raise DomainError(f"integration step must be positive and finite, got {h0}")
     if lag <= 0.0:
         return h0, 0
     h0 = min(h0, lag / 20.0)
@@ -367,9 +365,11 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 # Both builders describe the linear equation dA/dtau = c A - f on the
 # half-step grid tau = k h / 2 that the RK4 stages visit, one chunk of steps
 # at a time: `load(k0, k1)` fills the tables of half-steps k0..k1, among them
-# `coef` (c), and `step_map(s, taps)` returns the (P, Q) of the block on the
-# chunk's half-step slice s.  The energy bookkeeping of a one-cell run also
-# reads `forcing(taps)` (f over the chunk) and `output(s, f, y)`, the
+# `coef` (c) and `known` (f without the delayed history).  Without a delay
+# (`n_sub == 0`) that is the whole equation, and `_integrate` steps it
+# itself.  Delayed tables add `step_map(s, taps)`, the (P, Q) of the block on
+# the chunk's half-step slice s, and `forcing(taps)`, f over the chunk.  The
+# energy bookkeeping of a one-cell run also reads `output(s, f, y)`, the
 # outgoing field of a stage with forcing f and state y.
 
 class _FreeTables:
@@ -386,13 +386,7 @@ class _FreeTables:
         self.chalf = np.cos(np.asarray(self.theta(tg), dtype=float) / 2.0)
         self.coef = -0.5 * (4.0 * self.chalf**2 + self.ki)
         self.pump = np.sqrt(self.rho) * np.exp(-0.5 * self.rho * tg)
-        self.drive = 2.0 * self.chalf * self.pump
-
-    def step_map(self, s, taps):
-        return _step_map(self.coef[s], self.drive[s], self.h)
-
-    def forcing(self, taps):
-        return self.drive
+        self.known = 2.0 * self.chalf * self.pump
 
     def output(self, s, f, y):
         return self.pump[s] + 2.0 * self.chalf[s] * y
@@ -460,8 +454,6 @@ class _RetardedTables:
         self.right = _Q_ROWS[:, None, :, None] * beta
 
     def step_map(self, s, taps):
-        if taps is None:
-            return _step_map(self.coef[s], self.known[s], self.h)
         b = slice(s.start // 2, s.stop // 2)
         q, w_a, w_b, w_c = np.matmul(self.left[:, b], self.right[:, b])
         # taps hold the history at steps j-1 .. j+nb+1 (j = i - n_sub)
@@ -475,8 +467,6 @@ class _RetardedTables:
         return self.p[b], q
 
     def forcing(self, taps):
-        if taps is None:
-            return self.known
         # the even half-steps read stored nodes, the odd ones cubic midpoints
         nb = len(taps) - 3
         delayed = np.empty((2 * nb + 1,) + taps.shape[1:], dtype=complex)
@@ -552,10 +542,10 @@ def _step_map(c: np.ndarray, f: np.ndarray, h: float):
     return p, q
 
 
-def _quadratures(tables, taps, y1, h: float) -> tuple[float, float]:
-    """Reflected and intrinsic energy of the loaded chunk from the states y1
-    at the start of its steps."""
-    c, f = tables.coef, tables.forcing(taps)
+def _quadratures(tables, f, y1) -> tuple[float, float]:
+    """Reflected and intrinsic energy of the loaded chunk from its forcing f
+    and the states y1 at the start of its steps."""
+    c, h = tables.coef, tables.h
     odd = slice(1, None, 2)
     y2 = y1 + 0.5 * h * (c[:-1:2] * y1 - f[:-1:2])
     y3 = y1 + 0.5 * h * (c[1::2] * y2 - f[1::2])
@@ -571,9 +561,7 @@ def _quadratures(tables, taps, y1, h: float) -> tuple[float, float]:
 
 def _taps(ring, i: int, nb: int, n_sub: int, now: int):
     """The history taps of steps i .. i+nb-1, ring states j-1 .. j+nb+1 with
-    j = i - n_sub, each stored by step `now`; None without a delay."""
-    if not n_sub:
-        return None
+    j = i - n_sub, each stored by step `now`."""
     slots = len(ring)
     oldest, newest = i - n_sub - 1, i - n_sub + nb + 1
     if oldest <= now - slots or newest > now:
@@ -585,7 +573,7 @@ def _taps(ring, i: int, nb: int, n_sub: int, now: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(tables, h: float, n: int):
+def _integrate(tables, n: int):
     """Run n RK4 steps of the tables' equation from A = 0, a block at a time.
 
     Returns (fidelity |A|^2, ring, reflected, intrinsic); a one-cell ring holds
@@ -614,7 +602,8 @@ def _integrate(tables, h: float, n: int):
         for i in range(i0, i1, block):
             nb = min(block, i1 - i)
             s = slice(2 * (i - i0), 2 * (i - i0 + nb) + 1)
-            p, q = tables.step_map(s, _taps(ring, i, nb, n_sub, i))
+            p, q = (tables.step_map(s, _taps(ring, i, nb, n_sub, i)) if n_sub
+                    else _step_map(tables.coef[s], tables.known[s], tables.h))
             if scalar:
                 # Python numbers make the two-operation update cheap per step
                 states = []
@@ -628,8 +617,8 @@ def _integrate(tables, h: float, n: int):
                     a = np.multiply(pk, a, out=ring[k])
                     a += qk
         if scalar:
-            chunk_refl, chunk_intr = _quadratures(
-                tables, _taps(ring, i0, i1 - i0, n_sub, i1), ring[i0:i1], h)
+            f = tables.forcing(_taps(ring, i0, i1 - i0, n_sub, i1)) if n_sub else tables.known
+            chunk_refl, chunk_intr = _quadratures(tables, f, ring[i0:i1])
             refl += chunk_refl
             intr += chunk_intr
     fidelity = np.abs(np.reshape(a, shape)) ** 2
@@ -638,10 +627,10 @@ def _integrate(tables, h: float, n: int):
     return fidelity, ring, refl, intr
 
 
-def _transfer(tables, h: float, n: int) -> TransferResult:
+def _transfer(tables, n: int) -> TransferResult:
     """Integrate one cell's tables into its fidelity, trajectory and losses."""
-    fidelity, ring, refl, intr = _integrate(tables, h, n)
-    return TransferResult(fidelity=fidelity.item(), tau=np.arange(n + 1) * h,
+    fidelity, ring, refl, intr = _integrate(tables, n)
+    return TransferResult(fidelity=fidelity.item(), tau=np.arange(n + 1) * tables.h,
                           amplitude=ring[:n + 1].ravel(), reflected_fraction=refl,
                           intrinsic_fraction=intr)
 
@@ -652,21 +641,18 @@ def simulate_transfer(config: TransferConfig, profile, step: float | None = None
     `profile` is anything with a vectorizable ``theta(tau)`` (an
     :class:`OptimalProfile` or :class:`SampledProfile`).
     """
-    h = _DEFAULT_STEP if step is None else float(step)
-    n = _ode_step_count(config.horizon, h)
+    h, _ = _delay_step(0.0, step)
     return _transfer(_FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e, h),
-                     h, n)
+                     _ode_step_count(config.horizon, h))
 
 
 def _retarded(config: TransferConfig, profile, dm, dc, step: float | None):
-    """Retarded tables over lag grids dm, dc (seconds), their step and step count."""
+    """Retarded tables over lag grids dm, dc (seconds) and their step count."""
     ke = config.kappa_e
     lag = ke * config.delta_f
     h, n_sub = _delay_step(lag, step)
-    n = _ode_step_count(config.horizon, h)
-    tables = _RetardedTables(profile, config.ratio, config.kappa_i / ke, lag, n_sub,
-                             ke * dm, ke * dc, h)
-    return tables, h, n
+    return (_RetardedTables(profile, config.ratio, config.kappa_i / ke, lag, n_sub,
+                            ke * dm, ke * dc, h), _ode_step_count(config.horizon, h))
 
 
 def simulate_with_delay(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
@@ -717,6 +703,8 @@ def single_excitation_oracle(config: TransferConfig, profile,
         raise DomainError("oracle requires kappa_i = 0")
     if config.delta_f != 0.0:
         raise DomainError("oracle requires a zero mirror round trip")
+    if not 0.0 < bin_width < math.inf:
+        raise DomainError(f"bin width must be positive and finite, got {bin_width}")
     rho = config.ratio
     n = int(round(config.horizon / bin_width))
     mid = (np.arange(n) + 0.5) * bin_width

@@ -194,8 +194,10 @@ def master_eq_coeffs(g: SLHTriplet) -> MasterEqCoeffs:
 
 def effective_rate(theta: float, kappa_e: float) -> float:
     """Raw output power rate 2 kappa_e (1 + cos theta) of the closed loop (rad/s)."""
-    if kappa_e < 0.0:
-        raise DomainError("kappa_e must be non-negative")
+    if not 0.0 <= kappa_e < math.inf:
+        raise DomainError(f"kappa_e must be non-negative and finite, got {kappa_e}")
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     return 2.0 * kappa_e * (1.0 + math.cos(theta))
 
 

@@ -237,6 +237,18 @@ def test_calibration_out_of_range():
         cc.phase_from_voltage(cal, 10.0, 20, V_G, PITCH)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda cal: cal.sample(math.nan), OutOfRange),
+    (lambda cal: cc.phase_from_voltage(cal, math.nan, 20, V_G, PITCH), OutOfRange),
+    (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, math.nan, PITCH), DomainError),
+    (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, V_G, math.nan), DomainError),
+    (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, math.inf, PITCH), DomainError),
+], ids=["sample", "voltage", "v_g", "pitch", "v_g-inf"])
+def test_calibration_refuses_nan(call, error):
+    with pytest.raises(error):
+        call(cc.CalibrationCurve([-50.0, 0.0], [-7.9e6, 0.0]))
+
+
 def test_calibration_monotone_between_nodes():
     cal = cc.CalibrationCurve([-50.0, -20.0, 0.0], [-8e6, -3e6, 0.0])
     vs = np.linspace(-50.0, 0.0, 41)
@@ -293,3 +305,12 @@ def test_mirror_state_thresholds():
     assert cc.mirror_state(+685e3, 486e3) == "propagating"
     with pytest.raises(DomainError):
         cc.mirror_state(-685e3, 0.0)
+
+
+@pytest.mark.parametrize("delta_f, offset", [
+    (-1e6, math.nan), (math.nan, 486e3), (-1e6, math.inf), (-math.inf, 486e3),
+    (math.inf, 486e3), (-685e3, -486e3),
+])
+def test_mirror_state_refuses_non_finite(delta_f, offset):
+    with pytest.raises(DomainError):
+        cc.mirror_state(delta_f, offset)

@@ -328,6 +328,27 @@ def test_pi_shift_length():
         el.pi_shift_length(0.0, V_G)
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: el.phase_accumulation(1e6, NAN, 1e-5),
+    lambda: el.phase_accumulation(1e6, math.inf, 1e-5),
+    lambda: el.phase_accumulation(NAN, V_G, 1e-5),
+    lambda: el.phase_accumulation(1e6, V_G, NAN),
+    lambda: el.pi_shift_length(NAN, 1000.0),
+    lambda: el.pi_shift_length(1e6, NAN),
+    lambda: el.pi_shift_length(math.inf, V_G),
+    lambda: el.path_dilatation(0.0, 0.0, NAN),
+    lambda: el.path_dilatation(NAN, 0.0, PITCH),
+    lambda: el.strain_110_to_100([NAN, 0, 0, 0, 0, 0]),
+], ids=["phase-vg", "phase-vg-inf", "phase-df", "phase-length", "pi-df", "pi-vg",
+        "pi-df-inf", "dilatation-pitch", "dilatation-du", "strain-110"])
+def test_non_finite_arguments_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 # --- moduli loading --------------------------------------------------------------
 
 def test_moduli_json_override(tmp_path):

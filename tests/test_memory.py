@@ -148,6 +148,13 @@ def test_discretize_refuses_bad_cap(slope_cap):
         memory.discretize_profile(memory.optimal_profile(1 / 3), slope_cap=slope_cap)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.2])
+def test_discretize_refuses_bad_horizon(horizon):
+    # an infinite horizon would grow the staircase without end
+    with pytest.raises(DomainError, match="horizon"):
+        memory.discretize_profile(memory.optimal_profile(1 / 3), 23.0, horizon)
+
+
 def test_sampled_profile_validation():
     for tau, thetas, tau_c in [
         ([0.0, 1.0], [0.5, 0.2], 0.0),                    # decreasing
@@ -223,6 +230,14 @@ def test_step_halving_converges():
 def test_step_underflow_raises():
     with pytest.raises(IntegrationError):
         memory.simulate_transfer(config(), memory.optimal_profile(1 / 3), step=1e-9)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("delta_f", [0.0, 60 * NS])
+def test_bad_step_is_an_input_error(step, delta_f):
+    run = memory.simulate_with_delay if delta_f else memory.simulate_transfer
+    with pytest.raises(DomainError, match="integration step"):
+        run(config(delta_f=delta_f), memory.optimal_profile(1 / 3), step=step)
 
 
 # --- retarded simulation ----------------------------------------------------------------
@@ -395,13 +410,13 @@ def test_tables_match_the_slh_loop():
         c = coeffs.drift[0, 0] / KAPPA_E
         f = -coeffs.input_coupling[0, 0] / math.sqrt(KAPPA_E) * free.pump
         assert np.max(np.abs(free.coef - c)) <= 1e-14
-        assert np.max(np.abs(free.drive - f)) <= 1e-14
+        assert np.max(np.abs(free.known - f)) <= 1e-14
         # the retarded tables at zero lag and zero clock lags reduce to them
         zero = np.zeros(1)
         ret = memory._RetardedTables(_flat(theta), 1 / 3, ki, 0.0, 0, zero, zero, h)
         ret.load(0, 2)
         assert np.max(np.abs(ret.coef[:, 0, 0] - free.coef)) <= 1e-14
-        assert np.max(np.abs(ret.known[:, 0, 0] - free.drive)) <= 1e-14
+        assert np.max(np.abs(ret.known[:, 0, 0] - free.known)) <= 1e-14
 
 
 # --- single-excitation oracle -----------------------------------------------------------------
@@ -435,6 +450,12 @@ def test_oracle_preconditions():
         memory.single_excitation_oracle(config(kappa_i=1.0), memory.optimal_profile(1 / 3))
     with pytest.raises(DomainError):
         memory.single_excitation_oracle(config(delta_f=10 * NS), memory.optimal_profile(1 / 3))
+
+
+@pytest.mark.parametrize("bin_width", [0.0, -1e-4, math.nan, math.inf])
+def test_oracle_refuses_bad_bin_width(bin_width):
+    with pytest.raises(DomainError, match="bin width"):
+        memory.single_excitation_oracle(config(), memory.optimal_profile(1 / 3), bin_width)
 
 
 # --- config validation --------------------------------------------------------------------------

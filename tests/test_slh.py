@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phoncirc import slh
 from phoncirc.errors import DomainError, PortMismatch, SingularLoop
@@ -257,6 +259,13 @@ def test_effective_rate():
         abs(2 * cmath.exp(0.45j) * math.sqrt(KAPPA_E) * math.cos(0.45)) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta, kappa_e", [(0.3, math.nan), (0.3, math.inf),
+                                             (math.nan, KAPPA_E), (0.3, -1.0)])
+def test_effective_rate_refuses_bad_arguments(theta, kappa_e):
+    with pytest.raises(DomainError):
+        slh.effective_rate(theta, kappa_e)
+
+
 # --- network description runner ------------------------------------------------------
 
 def loop_network_doc(theta):
@@ -293,3 +302,61 @@ def test_run_network_echoes_single_node():
 def test_run_network_rejects_unknown_kind():
     with pytest.raises(DomainError):
         slh.run_network({"nodes": [{"name": "x", "kind": "squeezer", "params": {}}]})
+
+
+# --- random networks: run_network against the same calls made directly ------------------
+
+_HZ = st.floats(0.0, 1e6)
+_NODE_PARAMS = {
+    "cavity": st.fixed_dictionaries({"kappa_e_hz": _HZ, "kappa_i_hz": _HZ,
+                                     "detuning_hz": st.floats(-1e6, 1e6)}),
+    "phase": st.fixed_dictionaries({"theta_rad": st.floats(-2 * math.pi, 2 * math.pi)}),
+    "trivial": st.fixed_dictionaries({"n": st.integers(1, 3)}),
+}
+
+
+def _direct_node(kind, params):
+    if kind == "cavity":
+        return slh.cavity_node(2.0 * math.pi * params["kappa_e_hz"],
+                               2.0 * math.pi * params["kappa_i_hz"],
+                               2.0 * math.pi * params["detuning_hz"])
+    if kind == "phase":
+        return slh.phase_node(params["theta_rad"])
+    return slh.trivial_node(params["n"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_network_matches_direct_calls(data):
+    doc = {"nodes": [], "script": []}
+    direct = {}
+    for k in range(data.draw(st.integers(1, 4), label="nodes")):
+        kind = data.draw(st.sampled_from(sorted(_NODE_PARAMS)), label="kind")
+        params = data.draw(_NODE_PARAMS[kind], label="params")
+        doc["nodes"].append({"name": f"n{k}", "kind": kind, "params": params})
+        direct[f"n{k}"] = last = _direct_node(kind, params)
+    for k in range(data.draw(st.integers(0, 5), label="steps")):
+        names = sorted(direct)
+        ports = {name: direct[name].n_ports for name in names}
+        ops = {"concat": [[a, b] for a in names for b in names if ports[a] + ports[b] <= 6],
+               "series": [[a, b] for a in names for b in names if ports[a] == ports[b]],
+               "feedback": [[a, i, j] for a in names for i in range(1, ports[a] + 1)
+                            for j in range(1, ports[a] + 1) if i != j]}
+        op = data.draw(st.sampled_from([op for op in sorted(ops) if ops[op]]), label="op")
+        args = data.draw(st.sampled_from(ops[op]), label="args")
+        try:
+            if op == "concat":
+                last = slh.concatenate(direct[args[0]], direct[args[1]])
+            elif op == "series":
+                # args are [downstream, upstream], as in series(g2, g1)
+                last = slh.series(direct[args[0]], direct[args[1]])
+            else:
+                # feedback ports are 1-based
+                last = slh.feedback(direct[args[0]], args[1], args[2])
+        except SingularLoop:
+            assume(False)
+        doc["script"].append({"op": op, "args": args, "name": f"s{k}"})
+        direct[f"s{k}"] = last
+    got = slh.run_network(doc)
+    for a, b in ((got.S, last.S), (got.L, last.L), (got.H, last.H)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
