@@ -357,8 +357,14 @@ def phase_from_voltage(cal: CalibrationCurve, v: float, length_periods: int,
 
     Band-shift tables are converted with the forward-positive sign rule of
     :func:`phoncirc.elasticity.phase_accumulation`; phase tables are
-    interpolated directly.
+    interpolated directly.  The shifter length must be non-negative and the
+    lattice pitch positive, as in :func:`phoncirc.elasticity.path_dilatation`.
     """
+    if not 0.0 < pitch < math.inf:
+        raise DomainError(f"lattice pitch must be positive and finite, got {pitch}")
+    if not length_periods >= 0:
+        raise DomainError(f"shifter length must be a non-negative period count, "
+                          f"got {length_periods}")
     value = cal.sample(v)
     if cal.kind == "phase":
         return value

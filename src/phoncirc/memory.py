@@ -703,8 +703,9 @@ def single_excitation_oracle(config: TransferConfig, profile,
         raise DomainError("oracle requires kappa_i = 0")
     if config.delta_f != 0.0:
         raise DomainError("oracle requires a zero mirror round trip")
-    if not 0.0 < bin_width < math.inf:
-        raise DomainError(f"bin width must be positive and finite, got {bin_width}")
+    if not 0.0 < bin_width <= config.horizon:
+        raise DomainError(f"bin width must be positive and at most the horizon "
+                          f"{config.horizon}, got {bin_width}")
     rho = config.ratio
     n = int(round(config.horizon / bin_width))
     mid = (np.arange(n) + 0.5) * bin_width

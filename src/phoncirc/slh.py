@@ -13,6 +13,8 @@ Restricting to this linear passive family keeps concatenation, the series
 product and feedback elimination exact matrix algebra; no operator
 symbolics are needed.  Port indices in the public API are 1-based, matching
 the usual "output 1", "input 2" bookkeeping of network diagrams.
+Concatenation and the series product share one block-diagonal rule, and
+:func:`run_network` calls each composition through one op table.
 
 :func:`tunable_coupling_loop` builds the cavity/phase-shifter/mirror loop
 of the reconfigurable phonon memory by composing these primitives;
@@ -119,20 +121,19 @@ def trivial_node(n: int) -> SLHTriplet:
     return SLHTriplet(np.eye(n), np.zeros((n, 0)), np.zeros((0, 0)))
 
 
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The complex block-diagonal [[a, 0], [0, b]]."""
+    (r, c), (rb, cb) = a.shape, b.shape
+    out = np.zeros((r + rb, c + cb), dtype=complex)
+    out[:r, :c] = a
+    out[r:, c:] = b
+    return out
+
+
 def concatenate(g1: SLHTriplet, g2: SLHTriplet) -> SLHTriplet:
     """Parallel composition: block-diagonal S, stacked L, block-sum H."""
-    p1, p2 = g1.n_ports, g2.n_ports
-    m1, m2 = g1.n_modes, g2.n_modes
-    S = np.zeros((p1 + p2, p1 + p2), dtype=complex)
-    S[:p1, :p1] = g1.S
-    S[p1:, p1:] = g2.S
-    L = np.zeros((p1 + p2, m1 + m2), dtype=complex)
-    L[:p1, :m1] = g1.L
-    L[p1:, m1:] = g2.L
-    H = np.zeros((m1 + m2, m1 + m2), dtype=complex)
-    H[:m1, :m1] = g1.H
-    H[m1:, m1:] = g2.H
-    return SLHTriplet(S, L, H)
+    return SLHTriplet(_block_diag(g1.S, g2.S), _block_diag(g1.L, g2.L),
+                      _block_diag(g1.H, g2.H))
 
 
 def series(g2: SLHTriplet, g1: SLHTriplet) -> SLHTriplet:
@@ -145,9 +146,7 @@ def series(g2: SLHTriplet, g1: SLHTriplet) -> SLHTriplet:
     m1, m2 = g1.n_modes, g2.n_modes
     S = g2.S @ g1.S
     L = np.hstack([g2.S @ g1.L, g2.L])
-    H = np.zeros((m1 + m2, m1 + m2), dtype=complex)
-    H[:m1, :m1] = g1.H
-    H[m1:, m1:] = g2.H
+    H = _block_diag(g1.H, g2.H)
     # interaction picked up by routing g1's output through g2: Im(L2^dag S2 L1)
     x = np.zeros((m1 + m2, m1 + m2), dtype=complex)
     x[m1:, :m1] = g2.L.conj().T @ g2.S @ g1.L
@@ -212,20 +211,14 @@ def tunable_coupling_loop(theta: float, kappa_e: float, kappa_i: float,
     the counter-detuned cavity are included, which cancels both the stray
     input phase and the loop-induced detuning.
     """
-    two = trivial_node(2)
-    if not corrected:
-        g1 = cavity_node(kappa_e, kappa_i, 0.0)
-        chain = series(concatenate(phase_node(theta), two), g1)
-        return feedback(chain, out_port=1, in_port=2)
-    g0 = phase_node(-theta / 2.0)
-    g1 = cavity_node(kappa_e, kappa_i, -kappa_e * math.sin(theta))
-    g2 = phase_node(theta)
-    g3 = phase_node(-theta / 2.0)
-    one = trivial_node(1)
-    chain = series(g1, concatenate(g0, two))
-    chain = series(concatenate(g2, two), chain)
-    chain = series(concatenate(one, concatenate(g3, one)), chain)
-    return feedback(chain, out_port=1, in_port=2)
+    two, half = trivial_node(2), phase_node(-theta / 2.0)
+    g = cavity_node(kappa_e, kappa_i, -kappa_e * math.sin(theta) if corrected else 0.0)
+    if corrected:  # a -theta/2 shifter in front of the cavity's input 1
+        g = series(g, concatenate(half, two))
+    g = series(concatenate(phase_node(theta), two), g)  # the loop phase on output 1
+    if corrected:  # and a -theta/2 shifter on the IO output 2
+        g = series(concatenate(trivial_node(1), concatenate(half, trivial_node(1))), g)
+    return feedback(g, out_port=1, in_port=2)
 
 
 def tunable_coupling_closed_form(theta: float, kappa_e: float, kappa_i: float,
@@ -254,16 +247,18 @@ def tunable_coupling_closed_form(theta: float, kappa_e: float, kappa_i: float,
 #             {"op": "feedback", "args": ["b", 1, 2], "name": "out"}]}
 #
 # Rates are entered as ordinary frequencies in Hz and multiplied by 2*pi
-# here; feedback ports are 1-based.  With an empty script the single
-# declared node is returned unchanged.  Each object holds only the keys of its
-# table below, params values are JSON numbers, and _OP_ARGS types each op's args.
+# here; feedback ports are 1-based.  The result is the last step's node, or
+# with an empty script the last declared node.  Each object holds only the keys
+# of its table below, params values are JSON numbers, and _OPS types each op's args.
 
 _NETWORK = {"nodes": [], "script": []}
 _NODE = {"name": REQUIRED, "kind": REQUIRED, "params": {}}
 _PARAMS = {"cavity": {"kappa_e_hz": 0.0, "kappa_i_hz": 0.0, "detuning_hz": 0.0},
            "phase": {"theta_rad": 0.0}, "trivial": {"n": 1}}
 _STEP = {"op": REQUIRED, "args": REQUIRED, "name": None}
-_OP_ARGS = {"concat": [str, str], "series": [str, str], "feedback": [str, int, int]}
+# op -> (name of the composition function, types of its args)
+_OPS = {"concat": ("concatenate", [str, str]), "series": ("series", [str, str]),
+        "feedback": ("feedback", [str, int, int])}
 
 
 def _build_node(kind, params, what: str) -> SLHTriplet:
@@ -294,24 +289,19 @@ def run_network(source) -> SLHTriplet:
         registry[name] = last = _build_node(kind, params, f"params of node {name!r}")
     for step in json_list(doc["script"], OBJECT, "network script steps"):
         op, args, name = json_object(step, _STEP, "network script step").values()
-        want = _OP_ARGS.get(op) if type(op) is str else None
-        if want is None:
+        if type(op) is not str or op not in _OPS:
             raise DomainError(f"unknown script op {op!r}")
+        compose, want = _OPS[op]
         if type(args) is not list or [*map(type, args)] != want:
             raise DomainError(f"{op} takes args of types "
                               f"{[t.__name__ for t in want]}, got {args!r}")
+        if name is not None and type(name) is not str:
+            raise DomainError(f"script step name must be a string, got {name!r}")
         unknown = [a for a in args if type(a) is str and a not in registry]
         if unknown:
             raise DomainError(f"{op} names the unknown node {unknown[0]!r}")
-        if op == "concat":
-            result = concatenate(registry[args[0]], registry[args[1]])
-        elif op == "series":
-            result = series(registry[args[0]], registry[args[1]])
-        else:
-            result = feedback(registry[args[0]], args[1], args[2])
-        if name is not None and type(name) is not str:
-            raise DomainError(f"script step name must be a string, got {name!r}")
+        # looked up by name at call time, so a wrapper set on the module attribute runs
+        last = globals()[compose](*(registry[a] if type(a) is str else a for a in args))
         if name:
-            registry[name] = result
-        last = result
+            registry[name] = last
     return last

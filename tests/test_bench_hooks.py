@@ -37,7 +37,11 @@ print(json.dumps({"codes": codes, "names": sorted({s[0] for s in tracer.spans})}
 
 def test_tracer_records_the_named_spans(tmp_path):
     (tmp_path / "net.json").write_text(json.dumps(
-        {"nodes": [{"name": "p", "kind": "phase", "params": {"theta_rad": 0.5}}]}))
+        {"nodes": [{"name": "p", "kind": "phase", "params": {"theta_rad": 0.5}},
+                   {"name": "t", "kind": "trivial", "params": {"n": 2}}],
+         "script": [{"op": "concat", "args": ["p", "t"], "name": "a"},
+                    {"op": "series", "args": ["a", "a"], "name": "b"},
+                    {"op": "feedback", "args": ["b", 1, 2]}]}))
     (tmp_path / "config.json").write_text(json.dumps(
         {"kappa_e_hz": 300e3, "r_hz": 100e3, "horizon": 5}))
     (tmp_path / "u.csv").write_text("0,0,1,0\n1,0,0,0\n")
@@ -48,4 +52,6 @@ def test_tracer_records_the_named_spans(tmp_path):
     record = json.loads(proc.stdout)
     assert record["codes"] == [0] * 5
     assert {"cli.build_parser", "cli.parse_args", "memory.TransferConfig.from_json",
-            "circuits.MeshPlan.from_json", "circuits.reck_decompose"} <= set(record["names"])
+            "circuits.MeshPlan.from_json", "circuits.reck_decompose",
+            # run_network's steps, which the traced slh.ops counts
+            "slh.concatenate", "slh.series", "slh.feedback"} <= set(record["names"])

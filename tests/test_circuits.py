@@ -243,7 +243,12 @@ def test_calibration_out_of_range():
     (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, math.nan, PITCH), DomainError),
     (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, V_G, math.nan), DomainError),
     (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, math.inf, PITCH), DomainError),
-], ids=["sample", "voltage", "v_g", "pitch", "v_g-inf"])
+    # a negative length or pitch would flip the sign of the phase
+    (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, V_G, -PITCH), DomainError),
+    (lambda cal: cc.phase_from_voltage(cal, -10.0, 20, V_G, 0.0), DomainError),
+    (lambda cal: cc.phase_from_voltage(cal, -10.0, -20, V_G, PITCH), DomainError),
+], ids=["sample", "voltage", "v_g", "pitch", "v_g-inf", "pitch-negative", "pitch-zero",
+        "length-negative"])
 def test_calibration_refuses_nan(call, error):
     with pytest.raises(error):
         call(cc.CalibrationCurve([-50.0, 0.0], [-7.9e6, 0.0]))

@@ -469,6 +469,13 @@ BAD_INPUTS = {
     "network-unknown-node": ('{"nodes": [{"name": "t", "kind": "trivial"}],'
                              ' "script": [{"op": "concat", "args": ["t", "zz"]}]}',
                              ["slh", "compose", "--network"]),
+    # step "a" is a 2-port swap, so the second step would be a unit-gain loop:
+    # its bad name must be refused before it is composed
+    "network-step-name-not-string": ('{"nodes": [{"name": "t", "kind": "trivial",'
+                                     ' "params": {"n": 3}}], "script": ['
+                                     '{"op": "feedback", "args": ["t", 1, 3], "name": "a"},'
+                                     ' {"op": "feedback", "args": ["a", 2, 1], "name": 5}]}',
+                                     ["slh", "compose", "--network"]),
     "plan-recon-error-string": ('{"screen": [0], "elements": [], "reconstruction_error": "x"}',
                                 ["pmmi", "apply", "--basis", "0", "--plan"]),
     # finite strains whose energy or stiffness overflows the float range

@@ -157,6 +157,21 @@ def test_concatenate_associative():
                           slh.concatenate(a, slh.concatenate(b, c)))
 
 
+def test_concatenate_block_layout():
+    # S, L and H of g1 sit in the top-left blocks and those of g2 in the
+    # bottom-right ones, for zero-mode nodes too
+    rng = np.random.default_rng(5)
+    for p1, m1, p2, m2 in [(1, 0, 2, 0), (2, 1, 1, 0), (1, 0, 3, 2), (2, 2, 3, 1), (3, 1, 2, 3)]:
+        g1 = random_passive_triplet(rng, p1, m1)
+        g2 = random_passive_triplet(rng, p2, m2)
+        g = slh.concatenate(g1, g2)
+        for got, a, b in ((g.S, g1.S, g2.S), (g.L, g1.L, g2.L), (g.H, g1.H, g2.H)):
+            want = np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
+                             [np.zeros((b.shape[0], a.shape[1])), b]])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 # --- feedback ---------------------------------------------------------------------
 
 def test_feedback_uncorrected_loop_closed_form():
