@@ -3,7 +3,7 @@
 Four tools, one verb each run: ``phoncirc {tensor|slh|memory|pmmi} <verb>``.
 Each verb is declared once, in the table :data:`_TOOLS`, with its options and
 what ``--output`` writes; its function only computes and returns its result
-(and, for a table, the CSV header and rows), and :func:`main` emits it.
+(and, for a table, the CSV header and columns), and :func:`main` emits it.
 Every run prints a JSON envelope ``{"manifest": ..., "result": ...}`` on
 stdout; ``--output`` additionally writes the primary result (JSON or CSV)
 to a file.  The manifest echoes the resolved parameters and the wall time;
@@ -14,9 +14,9 @@ it, byte for byte, by a streamed writer (:func:`_write_json`).  The writer
 lays out by hand only the indentation of non-empty objects and arrays, which
 the C encoder cannot produce (the indenting encoder is the pure-Python one);
 every scalar, key and empty container, each list of numbers and each run of
-flat numeric records is encoded by the C encoder.  CSV rows are formatted
-``%.12g`` from one row template as they are written.  The ``json`` module
-reads every input file.
+flat numeric records is encoded by the C encoder.  A CSV table is formatted
+``%.12g`` from one template per run of rows (:func:`_write_csv`).  The
+``json`` module reads every input file.
 
 Frequency-like inputs (kappa_e, r, detunings, band shifts) are ordinary
 frequencies in Hz and are multiplied by 2*pi internally; delays are in ns.
@@ -110,6 +110,7 @@ def _lag_grids(dm_text: str, dc_text: str) -> tuple[np.ndarray, np.ndarray]:
 _ENCODE = json.JSONEncoder(sort_keys=True).encode   # compact, C-accelerated
 _LEAF_TYPES = frozenset((int, float, bool, type(None)))
 _CHUNK = 256  # records per write in a list of flat records
+_CSV_ROWS = 512  # rows per write of a CSV table
 
 
 def _write_json(write, obj, level: int = 0) -> None:
@@ -185,15 +186,22 @@ def _records(chunk, level: int) -> str | None:
     return template % tuple(_ENCODE(values)[1:-1].split(", "))
 
 
+def _write_csv(write, header: str, columns) -> None:
+    """Write the table of equal-length 1-d `columns` under `header`, `%.12g`
+    per value, one row template per run of `_CSV_ROWS` rows."""
+    write(header + "\n")
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        rows = np.column_stack([c[start:start + _CSV_ROWS] for c in columns])
+        write(row * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def _emit(args, result: dict, csv, t0: float) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "tool", "verb")}
     if args.output:
         with open(args.output, "w") as fh:
             if csv is not None:
-                header, rows = csv
-                row = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
-                fh.write(header + "\n")
-                fh.writelines(map(row.__mod__, rows))
+                _write_csv(fh.write, *csv)
             else:
                 _write_json(fh.write, result)
                 fh.write("\n")
@@ -211,7 +219,7 @@ def _emit(args, result: dict, csv, t0: float) -> None:
     sys.stdout.write("\n")
 
 
-# --- verbs: each returns (result, csv), csv = (header, rows) or None ------------
+# --- verbs: each returns (result, csv), csv = (header, 1-d columns) or None ------
 
 def _cmd_tensor_energy(args):
     s = _parse_strain(args.strain)
@@ -265,12 +273,16 @@ def _cmd_memory_simulate(args):
         "intrinsic_fraction": res.intrinsic_fraction,
         "delayed": delayed,
         "horizon": config.horizon,
+        "step": res.step,
+        "n_steps": res.n_steps,
+        "delay_steps": res.delay_steps,
+        "tau_end": res.tau_end,
     }
     if not args.output:
         return summary, None
     theta = np.asarray(profile.theta(res.tau), dtype=float)
     return summary, ("tau_prime,re_A,im_A,theta",
-                     zip(res.tau, res.amplitude.real, res.amplitude.imag, theta))
+                     (res.tau, res.amplitude.real, res.amplitude.imag, theta))
 
 
 def _cmd_memory_optimize(args):
@@ -289,8 +301,8 @@ def _cmd_memory_optimize(args):
     if not args.output:
         return summary, None
     return summary, ("delta_m_ns,delta_c_ns,fidelity",
-                     ((dm, dc, f) for dm, row in zip(dm_ns, scan.fidelity_grid)
-                      for dc, f in zip(dc_ns, row)))
+                     (np.repeat(dm_ns, dc_ns.size), np.tile(dc_ns, dm_ns.size),
+                      scan.fidelity_grid.ravel()))
 
 
 def _read_unitary_csv(path: str) -> np.ndarray:

@@ -25,16 +25,24 @@ Integration is fixed-step classical Runge-Kutta.  Because the equation is
 linear in A, one RK4 step is exactly the affine map a[i+1] = P[i] a[i] + Q[i]:
 P depends only on time and the detuning lag, Q on the input and the delayed
 history.  (P, Q) are built for a block of steps at a time as whole-array
-expressions, and a single step loop applies the two-operation update.  The
-coefficient tables hold the decay c and the known forcing (the input and
-its echo, without the history); without a delay that is the whole equation
-and the step loop maps it to (P, Q) itself, while the delayed tables add the
-history taps to Q.  A block is min(n_sub - 1, 256, max(1, 8192 // cells))
-steps long (no n_sub - 1 term without a delay), where n_sub is the delay in
-steps and cells the size of the lag grid, so that a block's full-grid arrays
-stay in cache; the step is chosen commensurate with the delay, so the
-history a block needs is already stored in a ring buffer and its half-step
-values come from 4-point cubic interpolation.
+expressions.  The coefficient tables hold the decay c and the known forcing
+(the input and its echo, without the history); without a delay that is the
+whole equation and the integrator maps it to (P, Q) itself, while the
+delayed tables add the history taps to Q.  The step is chosen commensurate
+with the delay, and a block never reaches past n_sub - 1 steps (n_sub the
+delay in steps; no such cap without a delay), so the history a block needs
+is already stored in a ring buffer and its half-step values come from
+4-point cubic interpolation.
+
+A single cell solves each block as one prefix scan: with L the running
+product of P over the block, its states are L (a0 + cumsum(Q / L)), written
+straight into the ring.  Its block is 2048 steps without a delay (one
+default table chunk) and min(n_sub - 1, 2048) steps with one, whatever the
+chunk size, and is cut short before its own |L| leaves e^(+-600) (read from
+the chunk's P), so that Q / L and the states stay finite.  A lag grid instead loops over the steps of a block,
+one full-grid multiply-add each, and its block is min(n_sub - 1, 256,
+max(1, 8192 // cells)) steps long, cells the size of the grid, so that a
+block's full-grid arrays stay in cache.
 
 On a lag grid P and the RK4 weights of Q depend on (t, delta_c) only, the
 mirror phase and the known forcing on (t, delta_m) only.  The known part of
@@ -307,13 +315,32 @@ class TransferConfig:
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Fidelity, cavity trajectory, and where the lost energy went."""
+    """Fidelity, cavity trajectory, and where the lost energy went.
+
+    `tau` is the run's uniform time grid, n_steps * step long; `delay_steps`
+    is the mirror round trip in steps (0 without a delay).
+    """
 
     fidelity: float
     tau: np.ndarray
     amplitude: np.ndarray
     reflected_fraction: float
     intrinsic_fraction: float
+    delay_steps: int = 0
+
+    @property
+    def step(self) -> float:
+        return float(self.tau[1])
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.tau) - 1
+
+    @property
+    def tau_end(self) -> float:
+        """Where the run ended, n_steps * step: a delayed run whose step does
+        not divide the horizon ends up to one step past it."""
+        return float(self.tau[-1])
 
 
 @dataclass(frozen=True)
@@ -498,11 +525,21 @@ _CHUNK_STEPS = 2048
 _LAG_TABLES = 16
 #: bytes a run may take for its ring and one chunk of tables
 _WORK_BYTES = 1 << 30
+#: steps per one-cell scan block without a delay: a prefix scan's length
+#: costs no Python time, so it spans a default chunk; fixed, so that the
+#: scan's block ends do not move with the chunk
+_SCAN_STEPS = 2048
+#: a one-cell scan block ends before its running product |L| leaves
+#: e^(+-600), so that Q / L and the states stay finite
+_SCAN_LOG_L = 600.0
 
 
 def _block_length(cells: int, n_sub: int) -> int:
-    """Steps per block: the history a block reads must already be stored."""
-    block = min(256, max(1, _BLOCK_CELL_STEPS // cells))
+    """Steps per block: the history a block reads must already be stored.
+
+    A single cell's block is a prefix scan of `_SCAN_STEPS` steps.
+    """
+    block = _SCAN_STEPS if cells == 1 else min(256, max(1, _BLOCK_CELL_STEPS // cells))
     return min(block, n_sub - 1) if n_sub else block
 
 
@@ -572,6 +609,47 @@ def _taps(ring, i: int, nb: int, n_sub: int, now: int):
             else ring[np.arange(oldest, newest + 1) % slots])
 
 
+def _scan_blocks(p: np.ndarray, block: int) -> list:
+    """(start, stop) of each scan block over a chunk's P: the chunk cut every
+    `block` steps, and cut again where a block's running product |L| would
+    leave e^(+-_SCAN_LOG_L)."""
+    log_l = np.concatenate(([0.0], np.cumsum(np.log(np.abs(p)))))
+    n = len(p)
+    bounds, k = [], 0
+    while k < n:
+        m = min((k // block + 1) * block, n)
+        out = np.flatnonzero(np.abs(log_l[k + 1:m + 1] - log_l[k]) > _SCAN_LOG_L)
+        if out.size:
+            m = k + max(1, out[0])
+        bounds.append((k, m))
+        k = m
+    return bounds
+
+
+def _scan(p: np.ndarray, q: np.ndarray, a0) -> np.ndarray:
+    """The states after each step of a[k+1] = p[k] a[k] + q[k] from a0, as one
+    prefix scan: L (a0 + cumsum(q / L)) with L the running product of p."""
+    lp = p.cumprod()
+    return lp * (a0 + (q / lp).cumsum())
+
+
+def _scan_cell(tables, ring, i0: int, i1: int, block: int) -> None:
+    """Steps i0 .. i1 of a one-cell run as block prefix scans into its ring."""
+    n_sub = tables.n_sub
+    states = ring.reshape(-1)  # one cell: one state per slot, a view
+    if n_sub:
+        p = tables.p.reshape(-1)
+    else:
+        p, q = (x.reshape(-1) for x in _step_map(tables.coef, tables.known, tables.h))
+    for k, m in _scan_blocks(p, block):
+        i = i0 + k
+        if n_sub:  # Q reads the history, stored up to step i
+            q_b = tables.step_map(slice(2 * k, 2 * m + 1), _taps(ring, i, m - k, n_sub, i))[1]
+        else:
+            q_b = q[k:m]
+        states[i + 1:i0 + m + 1] = _scan(p[k:m], q_b.reshape(-1), states[i])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate(tables, n: int):
     """Run n RK4 steps of the tables' equation from A = 0, a block at a time.
@@ -594,34 +672,30 @@ def _integrate(tables, n: int):
             f"over the {_WORK_BYTES / 2**30:.3g} GiB work budget")
     # zeroed, so history before tau = 0 (the slots past the stored steps) reads 0
     ring = np.zeros((slots,) + shape, dtype=complex)
-    a = 0.0 if scalar else ring[0]
+    a = ring[0]
     refl = intr = 0.0
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         tables.load(2 * i0, 2 * i1)
+        if scalar:
+            _scan_cell(tables, ring, i0, i1, block)
+            f = tables.forcing(_taps(ring, i0, i1 - i0, n_sub, i1)) if n_sub else tables.known
+            # a real forcing (the delay-free tables) keeps the trajectory real
+            y1 = ring[i0:i1].real if np.isrealobj(f) else ring[i0:i1]
+            chunk_refl, chunk_intr = _quadratures(tables, f, y1)
+            refl += chunk_refl
+            intr += chunk_intr
+            continue
         for i in range(i0, i1, block):
             nb = min(block, i1 - i)
             s = slice(2 * (i - i0), 2 * (i - i0 + nb) + 1)
             p, q = (tables.step_map(s, _taps(ring, i, nb, n_sub, i)) if n_sub
                     else _step_map(tables.coef[s], tables.known[s], tables.h))
-            if scalar:
-                # Python numbers make the two-operation update cheap per step
-                states = []
-                for pk, qk in zip(p.ravel().tolist(), q.ravel().tolist()):
-                    a = pk * a + qk
-                    states.append(a)
-                ring[i + 1:i + nb + 1] = np.reshape(states, (nb,) + shape)
-            else:
-                # each state goes straight into its ring slot
-                for pk, qk, k in zip(p, q, np.arange(i + 1, i + nb + 1) % slots):
-                    a = np.multiply(pk, a, out=ring[k])
-                    a += qk
-        if scalar:
-            f = tables.forcing(_taps(ring, i0, i1 - i0, n_sub, i1)) if n_sub else tables.known
-            chunk_refl, chunk_intr = _quadratures(tables, f, ring[i0:i1])
-            refl += chunk_refl
-            intr += chunk_intr
-    fidelity = np.abs(np.reshape(a, shape)) ** 2
+            # a grid steps through the block; each state goes straight into its ring slot
+            for pk, qk, k in zip(p, q, np.arange(i + 1, i + nb + 1) % slots):
+                a = np.multiply(pk, a, out=ring[k])
+                a += qk
+    fidelity = np.abs(ring[n % slots]) ** 2
     if not (np.all(np.isfinite(fidelity)) and math.isfinite(refl) and math.isfinite(intr)):
         raise IntegrationError("non-finite fidelity or energy; reduce the step size")
     return fidelity, ring, refl, intr
@@ -632,7 +706,7 @@ def _transfer(tables, n: int) -> TransferResult:
     fidelity, ring, refl, intr = _integrate(tables, n)
     return TransferResult(fidelity=fidelity.item(), tau=np.arange(n + 1) * tables.h,
                           amplitude=ring[:n + 1].ravel(), reflected_fraction=refl,
-                          intrinsic_fraction=intr)
+                          intrinsic_fraction=intr, delay_steps=tables.n_sub)
 
 
 def simulate_transfer(config: TransferConfig, profile, step: float | None = None) -> TransferResult:

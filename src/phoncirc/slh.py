@@ -247,8 +247,9 @@ def tunable_coupling_closed_form(theta: float, kappa_e: float, kappa_i: float,
 #             {"op": "feedback", "args": ["b", 1, 2], "name": "out"}]}
 #
 # Rates are entered as ordinary frequencies in Hz and multiplied by 2*pi
-# here; feedback ports are 1-based.  The result is the last step's node, or
-# with an empty script the last declared node.  Each object holds only the keys
+# here; feedback ports are 1-based.  A step's name, if any, is new and
+# non-empty.  The result is the last step's node, or with an empty script
+# the last declared node.  Each object holds only the keys
 # of its table below, params values are JSON numbers, and _OPS types each op's args.
 
 _NETWORK = {"nodes": [], "script": []}
@@ -295,13 +296,13 @@ def run_network(source) -> SLHTriplet:
         if type(args) is not list or [*map(type, args)] != want:
             raise DomainError(f"{op} takes args of types "
                               f"{[t.__name__ for t in want]}, got {args!r}")
-        if name is not None and type(name) is not str:
-            raise DomainError(f"script step name must be a string, got {name!r}")
+        if name is not None and (type(name) is not str or not name or name in registry):
+            raise DomainError(f"script step name must be a new, non-empty string, got {name!r}")
         unknown = [a for a in args if type(a) is str and a not in registry]
         if unknown:
             raise DomainError(f"{op} names the unknown node {unknown[0]!r}")
         # looked up by name at call time, so a wrapper set on the module attribute runs
         last = globals()[compose](*(registry[a] if type(a) is str else a for a in args))
-        if name:
+        if name is not None:
             registry[name] = last
     return last

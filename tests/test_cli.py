@@ -170,6 +170,30 @@ def test_memory_simulate_delay_point(tmp_path, capsys):
     res = result_of(out)
     assert res["delayed"] is True
     assert res["fidelity"] == pytest.approx(0.890, abs=5e-3)
+    # the step divides the 60 ns round trip, so the run passes its horizon
+    assert res["delay_steps"] == 57 and res["step"] < 0.002
+    assert res["n_steps"] == math.ceil(res["horizon"] / res["step"] - 1e-9)
+    assert res["tau_end"] == res["n_steps"] * res["step"]
+    assert res["horizon"] < res["tau_end"] < res["horizon"] + res["step"]
+
+
+def test_memory_simulate_reports_its_steps(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, ["memory", "simulate", "--config", config_json(tmp_path)])
+    assert code == 0
+    res = result_of(out)
+    assert (res["step"], res["n_steps"], res["delay_steps"]) == (0.002, 12500, 0)
+    assert res["tau_end"] == 12500 * 0.002 == pytest.approx(res["horizon"], abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1100])
+def test_csv_runs_match_row_by_row_formatting(rows):
+    rng = np.random.default_rng(rows)
+    columns = (np.arange(rows) * 0.002, rng.standard_normal(rows) * 10.0 ** rng.integers(
+        -20, 20, rows), rng.standard_normal(rows))
+    lines = []
+    cli._write_csv(lines.append, "a,b,c", columns)
+    want = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in zip(*columns))
+    assert "".join(lines) == "a,b,c\n" + want
 
 
 def test_memory_simulate_csv_format(tmp_path, capsys):
@@ -476,6 +500,15 @@ BAD_INPUTS = {
                                      '{"op": "feedback", "args": ["t", 1, 3], "name": "a"},'
                                      ' {"op": "feedback", "args": ["a", 2, 1], "name": 5}]}',
                                      ["slh", "compose", "--network"]),
+    # a step name must be new and non-empty: "p" would rebind the node p
+    "network-step-name-empty": ('{"nodes": [{"name": "t", "kind": "trivial"}],'
+                                ' "script": [{"op": "concat", "args": ["t", "t"], "name": ""}]}',
+                                ["slh", "compose", "--network"]),
+    "network-step-name-taken": ('{"nodes": [{"name": "p", "kind": "phase"},'
+                                ' {"name": "t", "kind": "trivial"}], "script": ['
+                                '{"op": "concat", "args": ["p", "t"], "name": "p"},'
+                                ' {"op": "concat", "args": ["p", "t"]}]}',
+                                ["slh", "compose", "--network"]),
     "plan-recon-error-string": ('{"screen": [0], "elements": [], "reconstruction_error": "x"}',
                                 ["pmmi", "apply", "--basis", "0", "--plan"]),
     # finite strains whose energy or stiffness overflows the float range
@@ -505,6 +538,7 @@ NAMED_KEY = {
     "network-step-key-typo": "nmae", "plan-extra-key": "comment",
     "plan-element-extra-key": "label", "plan-no-elements": "elements",
     "network-unknown-node": "zz", "plan-recon-error-string": "reconstruction_error",
+    "network-step-name-empty": "", "network-step-name-taken": "p",
 }
 
 

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phoncirc import memory, slh
 from phoncirc.errors import (DomainError, InfeasibleCap, IntegrationError,
@@ -345,16 +347,22 @@ def test_chunking_leaves_runs_unchanged(monkeypatch, run, blocks):
     # the energy is summed once per table chunk; with a chunk of one block
     # at 60 ns, the chunk is shorter than the delay and its history taps all
     # read the zeroed ring tail
+    free_block = memory._block_length(1, 0)
+    assert memory._chunk_length((1, 1), free_block) == free_block  # a chunk is one scan
+    # every path scans in 60 ns blocks, so that 3.1 kappa_e^-1 spans several chunks
+    block = memory._block_length(1, memory._delay_step(KAPPA_E * 60 * NS, None)[1])
+    monkeypatch.setattr(memory, "_SCAN_STEPS", block)
     simulate, kw = CHUNKED_RUNS[run]
     cfg = config(horizon=3.1, **kw)
     prof = memory.optimal_profile(1 / 3)
     want = simulate(cfg, prof)
     h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
-    block = memory._block_length(1, n_sub)
+    assert memory._block_length(1, n_sub) == block
     monkeypatch.setattr(memory, "_CHUNK_STEPS", blocks * block)
     chunk = memory._chunk_length((1, 1), block)
     assert chunk == blocks * block
-    assert memory._ode_step_count(cfg.horizon, h) % chunk != 0
+    n = memory._ode_step_count(cfg.horizon, h)
+    assert n > chunk and n % chunk != 0
     if run == "delay-60ns" and blocks == 1:
         assert chunk < n_sub
     got = simulate(cfg, prof)
@@ -363,6 +371,28 @@ def test_chunking_leaves_runs_unchanged(monkeypatch, run, blocks):
     assert got.intrinsic_fraction > 1e-3
     assert abs(got.reflected_fraction - want.reflected_fraction) <= 1e-12
     assert abs(got.intrinsic_fraction - want.intrinsic_fraction) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_p_min=st.floats(-4.0, 0.0),
+       n=st.integers(1, 3000), block=st.integers(1, 2048))
+def test_block_scan_matches_the_step_recurrence(seed, log_p_min, n, block):
+    rng = np.random.default_rng(seed)
+    p = np.exp(rng.uniform(log_p_min, 0.0, n) + 1j * rng.uniform(-math.pi, math.pi, n))
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = [complex(rng.standard_normal(), rng.standard_normal())]
+    for pk, qk in zip(p.tolist(), q.tolist()):
+        want.append(pk * want[-1] + qk)
+    got = np.empty(n + 1, dtype=complex)
+    got[0] = want[0]
+    bounds = memory._scan_blocks(p, block)
+    assert [k for k, _ in bounds] == [0] + [m for _, m in bounds[:-1]]
+    assert bounds[-1][1] == n
+    for k, m in bounds:
+        log_l = np.cumsum(np.log(np.abs(p[k:m])))
+        assert m - k <= block and np.all(np.abs(log_l) <= memory._SCAN_LOG_L)
+        got[k + 1:m + 1] = memory._scan(p[k:m], q[k:m], got[k])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_optimize_rejects_empty_grid():

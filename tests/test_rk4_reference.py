@@ -1,6 +1,7 @@
 """The block recurrence against the per-step RK4 loops it replaced."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,29 @@ def test_delay_free_matches_reference(cfg, profile):
 def test_retarded_matches_reference(cfg):
     new = memory.simulate_with_delay(cfg, optimal())
     assert_same(new, ref.simulate_with_delay(cfg, optimal()))
+
+
+@pytest.mark.parametrize("cfg", [
+    config(kappa_i=1000 * KAPPA_E, horizon=10.0),
+    config(kappa_i=1000 * KAPPA_E, delta_c=-34 * NS, horizon=10.0),
+    config(kappa_i=1000 * KAPPA_E, delta_f=60 * NS, delta_m=21 * NS, delta_c=-34 * NS,
+           horizon=10.0),
+], ids=["delay-free", "zero-lag", "delay-60ns"])
+def test_heavy_loss_matches_reference(cfg):
+    # |P| is about e^-1 per step, so a whole-chunk scan block would underflow
+    # its running product; the blocks end at the e^-600 floor instead
+    run, reference = ((memory.simulate_with_delay, ref.simulate_with_delay) if cfg.delta_c
+                      else (memory.simulate_transfer, ref.simulate_transfer))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = run(cfg, optimal())
+    assert [str(w.message) for w in caught] == []
+    assert 0.0 < new.fidelity < 1e-8
+    old = reference(cfg, optimal())
+    assert_same(new, old)
+    # F is about 3e-14 here, so the absolute TOL alone would pass any F below it
+    assert abs(new.fidelity - old.fidelity) <= TOL * old.fidelity
+    assert np.max(np.abs(new.amplitude - old.amplitude)) <= TOL * np.max(np.abs(old.amplitude))
 
 
 def test_smallest_delay_uses_twenty_substeps():

@@ -314,6 +314,21 @@ def test_run_network_echoes_single_node():
     assert got.S[0, 0] == pytest.approx(cmath.exp(0.5j))
 
 
+@pytest.mark.parametrize("name", ["", "p", "s"], ids=["empty", "node", "earlier-step"])
+def test_run_network_refuses_a_step_name_that_is_empty_or_taken(name):
+    # a step named "p" would rebind the phase node, and the next concat [p, t]
+    # would return 3 ports instead of 2; an empty name was dropped silently
+    doc = {"nodes": [{"name": "p", "kind": "phase", "params": {"theta_rad": 0.5}},
+                     {"name": "t", "kind": "trivial"}],
+           "script": [{"op": "concat", "args": ["p", "t"], "name": "s"},
+                      {"op": "concat", "args": ["p", "t"], "name": name},
+                      {"op": "concat", "args": ["p", "t"]}]}
+    with pytest.raises(DomainError, match="step name"):
+        slh.run_network(doc)
+    doc["script"][1]["name"] = None
+    assert slh.run_network(doc).n_ports == 2
+
+
 def test_run_network_rejects_unknown_kind():
     with pytest.raises(DomainError):
         slh.run_network({"nodes": [{"name": "x", "kind": "squeezer", "params": {}}]})
