@@ -297,6 +297,10 @@ def _cmd_memory_optimize(args):
         "delta_m_ns": float(dm_ns[i]),
         "delta_c_ns": float(dc_ns[j]),
         "fidelity": scan.fidelity,
+        "step": scan.step,
+        "n_steps": scan.n_steps,
+        "delay_steps": scan.delay_steps,
+        "tau_end": scan.tau_end,
     }
     if not args.output:
         return summary, None

@@ -38,27 +38,38 @@ A single cell solves each block as one prefix scan: with L the running
 product of P over the block, its states are L (a0 + cumsum(Q / L)), written
 straight into the ring.  Its block is 2048 steps without a delay (one
 default table chunk) and min(n_sub - 1, 2048) steps with one, whatever the
-chunk size, and is cut short before its own |L| leaves e^(+-600) (read from
-the chunk's P), so that Q / L and the states stay finite.  A lag grid instead loops over the steps of a block,
-one full-grid multiply-add each, and its block is min(n_sub - 1, 256,
-max(1, 8192 // cells)) steps long, cells the size of the grid, so that a
-block's full-grid arrays stay in cache.
+chunk size, and is cut short before its own |L| leaves e^(+-600), so that
+Q / L and the states stay finite.  One pass over a chunk's P finds the
+blocks that stay inside that bound; only the others are cut, greedily, each
+piece's log |L| summed from its own start.  A lag grid instead loops over
+the steps of a block, one full-grid multiply-add each, and its block is
+min(n_sub - 1, 256, max(1, 8192 // cells)) steps long, cells the size of the
+grid, so that a block's full-grid arrays stay in cache.
+
+With a delay, a single cell's tables hold Q as four 1-D series per chunk,
+built once from the RK4 weights beta and the known forcing u and mirror
+phase e at each step's three stages: the known part
+q = -(beta0 u0 + beta1 u1 + h/6 u2), and the weights of the history taps,
+w_A = -(beta0 e0 + 9/16 beta1 e1), w_B = -(9/16 beta1 e1 + h/6 e2) and
+w_C = beta1 e1 / 16.  A block's Q is then q + w_A H[j] + w_B H[j+1] +
+w_C (H[j-1] + H[j+2]), a few 1-D multiply-adds over the ring taps.  Its
+retarded input is its direct input 2 n_sub half-steps earlier, so one table
+from that far back serves both.
 
 On a lag grid P and the RK4 weights of Q depend on (t, delta_c) only, the
 mirror phase and the known forcing on (t, delta_m) only.  The known part of
 Q is then a sum of three outer products, and the history enters through
-three outer-product weights, w_A H[j] + w_B H[j+1] + w_C (H[j-1] + H[j+2]);
-one batched matmul per block builds all four, and only the multiply-adds
-over the ring taps run over the full grid.  In the zero-lag limit the
-mirror term folds into P, which is then full-grid.  The coefficient tables
-are built one chunk of blocks at a time, sized from a byte budget, so they
-do not grow with the horizon.  A single cell's ring holds the whole run, its
-trajectory, from which its energy bookkeeping is summed once per chunk.
-A run whose ring and chunk tables would pass 1 GiB is refused before
-anything is allocated.  The delay-free path stays real-valued.
-:func:`single_excitation_oracle` provides an independent check of the
-transfer fidelity via a beam-splitter collision model in the
-single-excitation sector.
+the same three weights, now outer products; one batched matmul per block
+builds all four, and only the multiply-adds over the ring taps run over
+the full grid.  In the zero-lag limit the mirror term folds into P, which
+is then full-grid.  The coefficient tables are built one chunk of blocks at
+a time, sized from a byte budget, so they do not grow with the horizon.  A
+single cell's ring holds the whole run, its trajectory, from which its
+energy bookkeeping is summed once per chunk.  A run whose ring and chunk
+tables would pass 1 GiB is refused before anything is allocated.  The
+delay-free path stays real-valued.  :func:`single_excitation_oracle`
+provides an independent check of the transfer fidelity via a beam-splitter
+collision model in the single-excitation sector.
 """
 
 from __future__ import annotations
@@ -345,7 +356,11 @@ class TransferResult:
 
 @dataclass(frozen=True)
 class DelayScan:
-    """Grid-search result over mirror/detuning clock lags (seconds)."""
+    """Grid-search result over mirror/detuning clock lags (seconds).
+
+    Every cell ran the same `n_steps` steps of size `step`; `delay_steps` is
+    the mirror round trip in steps (0 without a delay).
+    """
 
     delta_m: float
     delta_c: float
@@ -353,6 +368,14 @@ class DelayScan:
     dm_grid: np.ndarray
     dc_grid: np.ndarray
     fidelity_grid: np.ndarray  # shape (len(dm_grid), len(dc_grid))
+    step: float
+    n_steps: int
+    delay_steps: int
+
+    @property
+    def tau_end(self) -> float:
+        """Where the runs ended, n_steps * step, as in :class:`TransferResult`."""
+        return self.n_steps * self.step
 
     def ridge(self):
         """Best delta_c per delta_m, without the rows whose optimum pins to
@@ -394,10 +417,12 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 # at a time: `load(k0, k1)` fills the tables of half-steps k0..k1, among them
 # `coef` (c) and `known` (f without the delayed history).  Without a delay
 # (`n_sub == 0`) that is the whole equation, and `_integrate` steps it
-# itself.  Delayed tables add `step_map(s, taps)`, the (P, Q) of the block on
-# the chunk's half-step slice s, and `forcing(taps)`, f over the chunk.  The
-# energy bookkeeping of a one-cell run also reads `output(s, f, y)`, the
-# outgoing field of a stage with forcing f and state y.
+# itself.  Delayed tables add P (`p`) and `forcing(taps)`, f over the chunk;
+# for Q, a grid's add `step_map(s, taps)`, the (P, Q) of the block on the
+# chunk's half-step slice s, and a single cell's the series `q`, `w_a`,
+# `w_b` and `w_c` over the chunk's steps.  The energy bookkeeping of a
+# one-cell run also reads `output(s, f, y)`, the outgoing field of a stage
+# with forcing f and state y.
 
 class _FreeTables:
     """Delay-free tables; real-valued, so the trajectory stays real."""
@@ -439,7 +464,9 @@ class _RetardedTables:
 
     Per-time tables carry two trailing unit axes, the dc tables a unit dm
     axis and the dm tables a trailing unit dc axis, so that every block
-    broadcasts to (steps, len(dm), len(dc)).
+    broadcasts to (steps, len(dm), len(dc)).  A single cell, which
+    `_integrate` scans, gets its Q as 1-D series instead of the grid's
+    outer-product factors.
     """
 
     def __init__(self, profile, rho: float, ki: float, lag: float, n_sub: int,
@@ -448,21 +475,35 @@ class _RetardedTables:
         self.lag, self.n_sub = lag, n_sub
         self.dm_tau, self.dc_tau = dm_tau, dc_tau
         self.shape = (len(dm_tau), len(dc_tau))
+        self.cell = self.shape == (1, 1)
+
+    def _input(self, t):
+        """The input phase e^(-i theta/2) at times t, and the drive: that phase
+        times the exact input pump."""
+        phase = np.exp(-0.5j * np.asarray(self.theta(t), dtype=float))
+        return phase, phase * (np.sqrt(self.rho) * np.exp(-0.5 * self.rho * t))
 
     def load(self, k0: int, k1: int):
-        theta, rho, lag, h = self.theta, self.rho, self.lag, self.h
-        tg = np.arange(k0, k1 + 1) * (h / 2.0)
-        e_dir = np.exp(-0.5j * np.asarray(theta(tg), dtype=float))
-        pump = np.sqrt(rho) * np.exp(-0.5 * rho * tg)
-        td = tg - lag
-        # the retarded input enters through the exact shifted exponential
-        pump_del = np.sqrt(rho) * np.exp(-0.5 * rho * td)
-        echo_in = np.exp(-0.5j * np.asarray(theta(td), dtype=float)) * pump_del
+        theta, lag, h = self.theta, self.lag, self.h
+        # a single cell's retarded input is its direct input 2 n_sub half-steps
+        # earlier, so one table holds both: the retarded half-steps, then the
+        # direct ones k0..k1 (one range unless the lag is longer than the
+        # chunk); a grid evaluates it at tau - lag
+        n = k1 - k0 + 1
+        lead = 2 * self.n_sub if self.cell else 0
+        ks = np.arange(k0 - min(lead, n), k1 + 1)
+        if lead > n:
+            ks[:n] -= lead - n
+        te = ks * (h / 2.0)
+        tg = te[-n:]
+        e_dir, drive = self._input(te)
+        echo_in = drive[:n] if self.cell else self._input(tg - lag)[1]
+        e_dir, drive = e_dir[-n:], drive[-n:]
         sin_dc = np.sin(np.asarray(theta(tg[:, None] - self.dc_tau), dtype=float))
         e_mir = np.exp(1j * np.asarray(
             theta(tg[:, None] - 0.5 * lag - self.dm_tau), dtype=float))
         self.e_dir = e_dir[:, None, None]
-        self.drive = (e_dir * pump)[:, None, None]
+        self.drive = drive[:, None, None]
         self.coef = (1j * sin_dc - (1.0 + 0.5 * self.ki))[:, None, :]
         self.e_mir = e_mir[:, :, None]
         self.known = self.e_mir * echo_in[:, None, None] + self.drive
@@ -471,10 +512,20 @@ class _RetardedTables:
             # folds into a full-grid c
             self.coef = self.coef - self.e_mir
             return
+        self.p, beta0, beta1 = _rk4_weights(self.coef, h)
+        if self.cell:
+            # one cell: the known part of Q and the weights of its history
+            # taps as 1-D series over the chunk's steps (the rows of _Q_ROWS)
+            b0, b1, u, e = (x.reshape(-1) for x in (beta0, beta1, self.known, e_mir))
+            e1 = b1 * e[1::2]
+            self.q = -(b0 * u[:-1:2] + b1 * u[1::2] + h / 6.0 * u[2::2])
+            self.w_a = -(b0 * e[:-1:2] + 9.0 / 16.0 * e1)
+            self.w_b = -(9.0 / 16.0 * e1 + h / 6.0 * e[2::2])
+            self.w_c = e1 / 16.0
+            return
         # P and the RK4 weights beta depend on (t, dc) only, the known
         # forcing and e_mir on (t, dm) only, so the known part of Q and the
         # weights of its history taps are sums of outer products
-        self.p, beta0, beta1 = _rk4_weights(self.coef, h)
         beta = np.concatenate((beta0, beta1, np.full_like(beta0, h / 6.0)), axis=1)
         u, e = _stages(self.known[:, :, 0]), _stages(e_mir)
         self.left = np.stack((u, e, e, e))
@@ -591,8 +642,8 @@ def _quadratures(tables, f, y1) -> tuple[float, float]:
             tables.output(odd, f[1::2], y2), tables.output(odd, f[1::2], y3),
             tables.output(slice(2, None, 2), f[2::2], y4))
     weights = (1.0, 2.0, 2.0, 1.0)
-    refl = sum(w * np.sum(np.abs(o) ** 2) for w, o in zip(weights, outs))
-    intr = sum(w * np.sum(np.abs(y) ** 2) for w, y in zip(weights, (y1, y2, y3, y4)))
+    refl = sum(w * np.vdot(o, o).real for w, o in zip(weights, outs))
+    intr = sum(w * np.vdot(y, y).real for w, y in zip(weights, (y1, y2, y3, y4)))
     return h / 6.0 * float(refl), tables.ki * h / 6.0 * float(intr)
 
 
@@ -612,17 +663,24 @@ def _taps(ring, i: int, nb: int, n_sub: int, now: int):
 def _scan_blocks(p: np.ndarray, block: int) -> list:
     """(start, stop) of each scan block over a chunk's P: the chunk cut every
     `block` steps, and cut again where a block's running product |L| would
-    leave e^(+-_SCAN_LOG_L)."""
-    log_l = np.concatenate(([0.0], np.cumsum(np.log(np.abs(p)))))
+    leave e^(+-_SCAN_LOG_L).
+
+    One pass over the chunk finds the blocks whose |L| stays inside the
+    bound; only the others are cut, greedily, each piece's log |L| summed
+    from its own start.
+    """
     n = len(p)
-    bounds, k = [], 0
-    while k < n:
-        m = min((k // block + 1) * block, n)
-        out = np.flatnonzero(np.abs(log_l[k + 1:m + 1] - log_l[k]) > _SCAN_LOG_L)
-        if out.size:
-            m = k + max(1, out[0])
-        bounds.append((k, m))
-        k = m
+    log_p = np.log(np.abs(p))
+    rows = log_p if n % block == 0 else np.concatenate((log_p, np.zeros(-n % block)))
+    inside = np.abs(rows.reshape(-1, block).cumsum(axis=1)).max(axis=1) <= _SCAN_LOG_L
+    bounds = []
+    for k, ok in zip(range(0, n, block), inside.tolist()):
+        end = min(k + block, n)
+        while k < end:
+            out = () if ok else np.flatnonzero(np.abs(np.cumsum(log_p[k:end])) > _SCAN_LOG_L)
+            m = k + max(1, out[0]) if len(out) else end
+            bounds.append((k, m))
+            k = m
     return bounds
 
 
@@ -638,16 +696,18 @@ def _scan_cell(tables, ring, i0: int, i1: int, block: int) -> None:
     n_sub = tables.n_sub
     states = ring.reshape(-1)  # one cell: one state per slot, a view
     if n_sub:
-        p = tables.p.reshape(-1)
+        p, q, w_a, w_b, w_c = tables.p.reshape(-1), tables.q, tables.w_a, tables.w_b, tables.w_c
     else:
         p, q = (x.reshape(-1) for x in _step_map(tables.coef, tables.known, tables.h))
     for k, m in _scan_blocks(p, block):
-        i = i0 + k
+        i, nb = i0 + k, m - k
+        q_b = q[k:m]
         if n_sub:  # Q reads the history, stored up to step i
-            q_b = tables.step_map(slice(2 * k, 2 * m + 1), _taps(ring, i, m - k, n_sub, i))[1]
-        else:
-            q_b = q[k:m]
-        states[i + 1:i0 + m + 1] = _scan(p[k:m], q_b.reshape(-1), states[i])
+            taps = _taps(states, i, nb, n_sub, i)
+            q_b = q_b + w_a[k:m] * taps[1:nb + 1]
+            q_b += w_b[k:m] * taps[2:nb + 2]
+            q_b += w_c[k:m] * np.add(taps[:nb], taps[3:])
+        states[i + 1:i0 + m + 1] = _scan(p[k:m], q_b, states[i])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -752,14 +812,15 @@ def optimize_delays(config: TransferConfig, profile, dm_grid, dc_grid,
     dc = np.asarray(dc_grid, dtype=float)
     if dm.size == 0 or dc.size == 0:
         raise DomainError("delay grids must be non-empty")
-    fid = _integrate(*_retarded(config, profile, dm, dc, step))[0]
+    tables, n = _retarded(config, profile, dm, dc, step)
+    fid = _integrate(tables, n)[0]
     best = np.max(fid)
     ties = np.argwhere(fid == best)
     key = sorted((abs(dm[i]), abs(dc[j]), dm[i], dc[j], i, j) for i, j in ties)
     _, _, dm_best, dc_best, _, _ = key[0]
     return DelayScan(delta_m=float(dm_best), delta_c=float(dc_best),
                      fidelity=float(best), dm_grid=dm, dc_grid=dc,
-                     fidelity_grid=fid)
+                     fidelity_grid=fid, step=tables.h, n_steps=n, delay_steps=tables.n_sub)
 
 
 def single_excitation_oracle(config: TransferConfig, profile,

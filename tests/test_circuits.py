@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phoncirc import circuits as cc
 from phoncirc.errors import DimensionMismatch, DomainError, NotUnitary, OutOfRange
@@ -122,14 +124,16 @@ def test_reck_rejects_non_unitary():
         cc.reck_decompose(np.zeros((2, 3)))
 
 
-def test_roundtrip_randomized_sizes():
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        n = int(rng.integers(2, 9))
-        u = cc.haar_unitary(n, rng)
-        plan = cc.reck_decompose(u)
-        assert len(plan.elements) == n * (n - 1) // 2
-        assert np.max(np.abs(plan.matrix() - u)) < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_roundtrip_randomized_sizes(n, seed):
+    u = cc.haar_unitary(n, np.random.default_rng(seed))
+    plan = cc.reck_decompose(u)
+    assert plan.top.size == n * (n - 1) // 2
+    assert np.max(np.abs(plan.matrix() - u)) <= 1e-10
+    again = cc.MeshPlan.from_json(plan.to_json())
+    for name in ("screen", "top", "theta", "phi"):
+        assert np.array_equal(getattr(again, name), getattr(plan, name))
 
 
 # --- mesh application -----------------------------------------------------------------

@@ -224,6 +224,21 @@ def test_memory_optimize_small_grid(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3
 
 
+def test_memory_optimize_reports_its_steps(tmp_path, capsys):
+    cfg = config_json(tmp_path, delta_f_ns=60, horizon=2)
+    argv = ["memory", "optimize", "--config", cfg, "--dm-grid", "18:24:3", "--dc-grid=-37:-31:3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    res = result_of(out)
+    # every cell runs the steps of a one-cell run: the step divides the 60 ns round trip
+    assert res["delay_steps"] == 57 and res["step"] < 0.002
+    assert res["n_steps"] == math.ceil(2 / res["step"] - 1e-9)
+    assert res["tau_end"] == res["n_steps"] * res["step"]
+    assert 2 < res["tau_end"] < 2 + res["step"]
+    # the summary is deterministic: a second run prints the same result
+    assert result_of(run_cli(capsys, argv)[1]) == res
+
+
 def test_memory_optimize_reports_the_grid_ns_values(tmp_path, capsys):
     # 24 ns through seconds and back reads 24.000000000000004
     cfg = config_json(tmp_path, delta_f_ns=60, horizon=10)

@@ -338,6 +338,9 @@ CHUNKED_RUNS = {
     "delay-60ns": (memory.simulate_with_delay,
                    dict(kappa_i=0.02 * KAPPA_E, delta_f=60 * NS, delta_m=21 * NS,
                         delta_c=-34 * NS)),
+    "delay-20ns": (memory.simulate_with_delay,
+                   dict(kappa_i=0.02 * KAPPA_E, delta_f=20 * NS, delta_m=7 * NS,
+                        delta_c=-11 * NS)),
 }
 
 
@@ -345,25 +348,27 @@ CHUNKED_RUNS = {
 @pytest.mark.parametrize("run", CHUNKED_RUNS)
 def test_chunking_leaves_runs_unchanged(monkeypatch, run, blocks):
     # the energy is summed once per table chunk; with a chunk of one block
-    # at 60 ns, the chunk is shorter than the delay and its history taps all
-    # read the zeroed ring tail
+    # on a delayed run, the chunk is shorter than the delay and its history
+    # taps all read the zeroed ring tail
     free_block = memory._block_length(1, 0)
     assert memory._chunk_length((1, 1), free_block) == free_block  # a chunk is one scan
-    # every path scans in 60 ns blocks, so that 3.1 kappa_e^-1 spans several chunks
-    block = memory._block_length(1, memory._delay_step(KAPPA_E * 60 * NS, None)[1])
-    monkeypatch.setattr(memory, "_SCAN_STEPS", block)
+    # the history-free paths scan in 60 ns blocks, so that 3.1 kappa_e^-1
+    # spans several chunks; a 20 ns run keeps its own 19-step block
+    scan_block = memory._block_length(1, memory._delay_step(KAPPA_E * 60 * NS, None)[1])
+    monkeypatch.setattr(memory, "_SCAN_STEPS", scan_block)
     simulate, kw = CHUNKED_RUNS[run]
     cfg = config(horizon=3.1, **kw)
     prof = memory.optimal_profile(1 / 3)
     want = simulate(cfg, prof)
     h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
-    assert memory._block_length(1, n_sub) == block
+    block = memory._block_length(1, n_sub)
+    assert block == (19 if run == "delay-20ns" else scan_block)
     monkeypatch.setattr(memory, "_CHUNK_STEPS", blocks * block)
     chunk = memory._chunk_length((1, 1), block)
     assert chunk == blocks * block
     n = memory._ode_step_count(cfg.horizon, h)
     assert n > chunk and n % chunk != 0
-    if run == "delay-60ns" and blocks == 1:
+    if n_sub and blocks == 1:
         assert chunk < n_sub
     got = simulate(cfg, prof)
     assert got.fidelity == want.fidelity
@@ -393,6 +398,20 @@ def test_block_scan_matches_the_step_recurrence(seed, log_p_min, n, block):
         assert m - k <= block and np.all(np.abs(log_l) <= memory._SCAN_LOG_L)
         got[k + 1:m + 1] = memory._scan(p[k:m], q[k:m], got[k])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("delta_f, delay_steps", [(60 * NS, 57), (0.0, 0)],
+                         ids=["delay-60ns", "zero-lag"])
+def test_scan_reports_its_steps(delta_f, delay_steps):
+    cfg = config(delta_f=delta_f, horizon=2.0)
+    prof = memory.optimal_profile(1 / 3)
+    scan = memory.optimize_delays(cfg, prof, np.array([10.0, 20.0]) * NS,
+                                  np.array([-30.0, -20.0, -10.0]) * NS)
+    one = memory.simulate_with_delay(replace(cfg, delta_m=scan.delta_m, delta_c=scan.delta_c),
+                                     prof)
+    assert scan.delay_steps == one.delay_steps == delay_steps
+    assert (scan.step, scan.n_steps, scan.tau_end) == (one.step, one.n_steps, one.tau_end)
+    assert scan.tau_end == scan.n_steps * scan.step >= cfg.horizon
 
 
 def test_optimize_rejects_empty_grid():

@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rk4_reference as ref
 from phoncirc import memory
@@ -79,6 +82,45 @@ def test_heavy_loss_matches_reference(cfg):
     # F is about 3e-14 here, so the absolute TOL alone would pass any F below it
     assert abs(new.fidelity - old.fidelity) <= TOL * old.fidelity
     assert np.max(np.abs(new.amplitude - old.amplitude)) <= TOL * np.max(np.abs(old.amplitude))
+
+
+def test_long_delay_cuts_its_blocks_and_matches_reference():
+    # a 700 ns delay gives 659-step blocks; at |P| about e^-1 per step each
+    # is cut before its running product leaves e^-600
+    cfg = config(kappa_i=1000 * KAPPA_E, delta_f=700 * NS, delta_m=233 * NS,
+                 delta_c=-350 * NS, horizon=3.0)
+    tables, n = memory._retarded(cfg, optimal(), np.array([cfg.delta_m]),
+                                 np.array([cfg.delta_c]), None)
+    block = memory._block_length(1, tables.n_sub)
+    tables.load(0, 2 * n)
+    assert block == 659 and len(memory._scan_blocks(tables.p.reshape(-1), block)) > -(-n // block)
+    new = memory.simulate_with_delay(cfg, optimal())
+    old = ref.simulate_with_delay(cfg, optimal())
+    assert_same(new, old)
+    assert abs(new.fidelity - old.fidelity) <= TOL * old.fidelity
+    assert np.max(np.abs(new.amplitude - old.amplitude)) <= TOL * np.max(np.abs(old.amplitude))
+
+
+@settings(max_examples=20, deadline=None)
+@given(delta_f=st.floats(20.0, 60.0), lag_m=st.floats(-1.0, 1.0), lag_c=st.floats(-1.0, 1.0),
+       slope_capped=st.booleans(),
+       kappa_i=st.sampled_from([0.0, 2 * math.pi, 1000 * KAPPA_E]),
+       horizon=st.floats(0.5, 3.0), log_l_bound=st.sampled_from([None, 8.0]))
+def test_one_cell_delayed_runs_match_reference(delta_f, lag_m, lag_c, slope_capped, kappa_i,
+                                               horizon, log_l_bound):
+    # lags up to one round trip either way; a run ends mid-block unless its
+    # step count happens to divide.  A lowered |L| bound cuts the heavy-loss
+    # blocks (|P| about e^-1 per step) into pieces of about 8 steps.
+    cfg = config(kappa_i=kappa_i, delta_f=delta_f * NS, delta_m=lag_m * delta_f * NS,
+                 delta_c=lag_c * delta_f * NS, horizon=horizon)
+    profile = capped() if slope_capped else optimal()
+    with mock.patch.object(memory, "_SCAN_LOG_L", log_l_bound or memory._SCAN_LOG_L):
+        new = memory.simulate_with_delay(cfg, profile)
+    old = ref.simulate_with_delay(cfg, profile)
+    assert_same(new, old)
+    if old.fidelity < 1e-8:
+        assert abs(new.fidelity - old.fidelity) <= TOL * old.fidelity
+        assert np.max(np.abs(new.amplitude - old.amplitude)) <= TOL * np.max(np.abs(old.amplitude))
 
 
 def test_smallest_delay_uses_twenty_substeps():
