@@ -197,6 +197,8 @@ class MeshPlan:
             json_list(values, NUMBER, f"mesh plan {key} values")
         if data["reconstruction_error"] is not None:
             json_numbers({"reconstruction_error": data["reconstruction_error"]}, "mesh plan")
+            if not math.isfinite(data["reconstruction_error"]):
+                raise DomainError("mesh plan reconstruction_error must be finite")
         return cls(data["screen"], top, theta, phi)
 
 

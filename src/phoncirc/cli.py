@@ -91,19 +91,11 @@ def _grid_ns(text: str) -> tuple[float, float, int]:
 
 
 def _lag_grids(dm_text: str, dc_text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The mirror and detuning lag grids in ns.
-
-    They are counted before they are built: a scan's ring holds at least
-    5 slots (n_sub + block + 4) of 16 B per cell, so a grid pair whose ring
-    alone would pass the integrator's work budget is refused unbuilt.
-    """
+    """The mirror and detuning lag grids in ns, refused unbuilt when the
+    smallest ring of their cell count would pass the integrator's work budget."""
     (dm0, dm_step, n_dm), (dc0, dc_step, n_dc) = _grid_ns(dm_text), _grid_ns(dc_text)
-    ring = 16.0 * 5 * n_dm * n_dc
-    if ring > memory._WORK_BYTES:
-        raise DomainError(
-            f"lag grid --dm-grid {dm_text} x --dc-grid {dc_text} has {n_dm} x {n_dc} cells, "
-            f"whose ring alone needs {ring / 2**30:.3g} GiB, over the "
-            f"{memory._WORK_BYTES / 2**30:.3g} GiB work budget")
+    memory._check_work(f"lag grid --dm-grid {dm_text} x --dc-grid {dc_text}: "
+                       f"{n_dm} x {n_dc} cells", cells=n_dm * n_dc)
     return dm0 + dm_step * np.arange(n_dm), dc0 + dc_step * np.arange(n_dc)
 
 
@@ -261,6 +253,12 @@ def _profile_for(config: memory.TransferConfig):
     return profile
 
 
+def _steps(run) -> dict:
+    """What a memory run actually stepped: the step, the step count, the
+    delay in steps and the end time (a TransferResult or a DelayScan)."""
+    return {key: getattr(run, key) for key in ("step", "n_steps", "delay_steps", "tau_end")}
+
+
 def _cmd_memory_simulate(args):
     config = memory.TransferConfig.from_json(args.config)
     profile = _profile_for(config)
@@ -273,10 +271,7 @@ def _cmd_memory_simulate(args):
         "intrinsic_fraction": res.intrinsic_fraction,
         "delayed": delayed,
         "horizon": config.horizon,
-        "step": res.step,
-        "n_steps": res.n_steps,
-        "delay_steps": res.delay_steps,
-        "tau_end": res.tau_end,
+        **_steps(res),
     }
     if not args.output:
         return summary, None
@@ -297,10 +292,7 @@ def _cmd_memory_optimize(args):
         "delta_m_ns": float(dm_ns[i]),
         "delta_c_ns": float(dc_ns[j]),
         "fidelity": scan.fidelity,
-        "step": scan.step,
-        "n_steps": scan.n_steps,
-        "delay_steps": scan.delay_steps,
-        "tau_end": scan.tau_end,
+        **_steps(scan),
     }
     if not args.output:
         return summary, None

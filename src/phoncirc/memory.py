@@ -24,47 +24,40 @@ clock by delta_c.  :func:`optimize_delays` grid-searches the two lags.
 Integration is fixed-step classical Runge-Kutta.  Because the equation is
 linear in A, one RK4 step is exactly the affine map a[i+1] = P[i] a[i] + Q[i]:
 P depends only on time and the detuning lag, Q on the input and the delayed
-history.  (P, Q) are built for a block of steps at a time as whole-array
-expressions.  The coefficient tables hold the decay c and the known forcing
-(the input and its echo, without the history); without a delay that is the
-whole equation and the integrator maps it to (P, Q) itself, while the
-delayed tables add the history taps to Q.  The step is chosen commensurate
-with the delay, and a block never reaches past n_sub - 1 steps (n_sub the
-delay in steps; no such cap without a delay), so the history a block needs
-is already stored in a ring buffer and its half-step values come from
-4-point cubic interpolation.
+history.  The coefficient tables hold the decay c and the known forcing (the
+input and its echo, without the history) one chunk of steps at a time, sized
+from a byte budget so that they do not grow with the horizon.  Without a
+delay that is the whole equation, and the integrator maps it to (P, Q)
+itself.  With one, the step divides the round trip into n_sub steps, so the
+retarded input at any half-step is the direct input 2 n_sub half-steps
+earlier: one input table serves both, on a single cell and on a lag grid.  A
+block never reaches past n_sub - 1 steps, so the history it needs is already
+stored in a ring buffer, and its half-step values come from 4-point cubic
+interpolation.
+
+From the RK4 weights beta, the known forcing u and the mirror phase e at each
+step's three stages, Q is the known part q = -(beta0 u0 + beta1 u1 + h/6 u2)
+plus the history taps weighted by w_A = -(beta0 e0 + 9/16 beta1 e1),
+w_B = -(9/16 beta1 e1 + h/6 e2) and w_C = beta1 e1 / 16.  One tap sum,
+q + w_A H[j] + w_B H[j+1] + w_C (H[j-1] + H[j+2]), builds the Q of every
+block.  A single cell's tables hold its four factors as 1-D series per chunk.
+On a lag grid P and beta depend on (t, delta_c) only, e and u on (t, delta_m)
+only, so the four factors are sums of outer products, built by one batched
+matmul per block.  In the zero-lag limit the mirror term folds into P, which
+is then full-grid.
 
 A single cell solves each block as one prefix scan: with L the running
 product of P over the block, its states are L (a0 + cumsum(Q / L)), written
 straight into the ring.  Its block is 2048 steps without a delay (one
 default table chunk) and min(n_sub - 1, 2048) steps with one, whatever the
 chunk size, and is cut short before its own |L| leaves e^(+-600), so that
-Q / L and the states stay finite.  One pass over a chunk's P finds the
-blocks that stay inside that bound; only the others are cut, greedily, each
-piece's log |L| summed from its own start.  A lag grid instead loops over
-the steps of a block, one full-grid multiply-add each, and its block is
-min(n_sub - 1, 256, max(1, 8192 // cells)) steps long, cells the size of the
-grid, so that a block's full-grid arrays stay in cache.
+Q / L and the states stay finite; one pass over a chunk's P finds the blocks
+that need the cut.  A lag grid instead loops over the steps of a block, one
+full-grid multiply-add each, and its block is min(n_sub - 1, 256,
+max(1, 8192 // cells)) steps long, cells the size of the grid, so that a
+block's full-grid arrays stay in cache.
 
-With a delay, a single cell's tables hold Q as four 1-D series per chunk,
-built once from the RK4 weights beta and the known forcing u and mirror
-phase e at each step's three stages: the known part
-q = -(beta0 u0 + beta1 u1 + h/6 u2), and the weights of the history taps,
-w_A = -(beta0 e0 + 9/16 beta1 e1), w_B = -(9/16 beta1 e1 + h/6 e2) and
-w_C = beta1 e1 / 16.  A block's Q is then q + w_A H[j] + w_B H[j+1] +
-w_C (H[j-1] + H[j+2]), a few 1-D multiply-adds over the ring taps.  Its
-retarded input is its direct input 2 n_sub half-steps earlier, so one table
-from that far back serves both.
-
-On a lag grid P and the RK4 weights of Q depend on (t, delta_c) only, the
-mirror phase and the known forcing on (t, delta_m) only.  The known part of
-Q is then a sum of three outer products, and the history enters through
-the same three weights, now outer products; one batched matmul per block
-builds all four, and only the multiply-adds over the ring taps run over
-the full grid.  In the zero-lag limit the mirror term folds into P, which
-is then full-grid.  The coefficient tables are built one chunk of blocks at
-a time, sized from a byte budget, so they do not grow with the horizon.  A
-single cell's ring holds the whole run, its trajectory, from which its
+A single cell's ring holds the whole run, its trajectory, from which its
 energy bookkeeping is summed once per chunk.  A run whose ring and chunk
 tables would pass 1 GiB is refused before anything is allocated.  The
 delay-free path stays real-valued.  :func:`single_excitation_oracle`
@@ -454,6 +447,20 @@ _Q_ROWS = np.array([[-1.0, -1.0, -1.0],
                     [0.0, 1.0 / 16.0, 0.0]])
 
 
+def _tap_sum(q, w_a, w_b, w_c, taps):
+    """Q = q + w_A H[j] + w_B H[j+1] + w_C (H[j-1] + H[j+2]) of a block's steps,
+    from its taps H[j-1] .. H[j+nb+1] (j = i - n_sub); built in q, and the
+    weights are overwritten."""
+    nb = len(q)
+    w_c *= np.add(taps[:nb], taps[3:])
+    w_a *= taps[1:nb + 1]
+    w_b *= taps[2:nb + 2]
+    q += w_a
+    q += w_b
+    q += w_c
+    return q
+
+
 def _stages(v: np.ndarray) -> np.ndarray:
     """(steps, ..., 3): each step's start, middle and end half-step values."""
     return np.stack((v[:-1:2], v[1::2], v[2::2]), axis=-1)
@@ -464,9 +471,9 @@ class _RetardedTables:
 
     Per-time tables carry two trailing unit axes, the dc tables a unit dm
     axis and the dm tables a trailing unit dc axis, so that every block
-    broadcasts to (steps, len(dm), len(dc)).  A single cell, which
-    `_integrate` scans, gets its Q as 1-D series instead of the grid's
-    outer-product factors.
+    broadcasts to (steps, len(dm), len(dc)).  Only the factors of Q differ
+    by shape: 1-D series for a single cell, which `_integrate` scans, and
+    outer-product factors for a grid.
     """
 
     def __init__(self, profile, rho: float, ki: float, lag: float, n_sub: int,
@@ -485,19 +492,18 @@ class _RetardedTables:
 
     def load(self, k0: int, k1: int):
         theta, lag, h = self.theta, self.lag, self.h
-        # a single cell's retarded input is its direct input 2 n_sub half-steps
-        # earlier, so one table holds both: the retarded half-steps, then the
-        # direct ones k0..k1 (one range unless the lag is longer than the
-        # chunk); a grid evaluates it at tau - lag
+        # the retarded input is the direct input 2 n_sub half-steps earlier, so
+        # one table holds both: the retarded half-steps, then the direct ones
+        # k0..k1 (one range unless the lag is longer than the chunk)
         n = k1 - k0 + 1
-        lead = 2 * self.n_sub if self.cell else 0
+        lead = 2 * self.n_sub
         ks = np.arange(k0 - min(lead, n), k1 + 1)
         if lead > n:
             ks[:n] -= lead - n
         te = ks * (h / 2.0)
         tg = te[-n:]
         e_dir, drive = self._input(te)
-        echo_in = drive[:n] if self.cell else self._input(tg - lag)[1]
+        echo_in = drive[:n]
         e_dir, drive = e_dir[-n:], drive[-n:]
         sin_dc = np.sin(np.asarray(theta(tg[:, None] - self.dc_tau), dtype=float))
         e_mir = np.exp(1j * np.asarray(
@@ -523,9 +529,7 @@ class _RetardedTables:
             self.w_b = -(9.0 / 16.0 * e1 + h / 6.0 * e[2::2])
             self.w_c = e1 / 16.0
             return
-        # P and the RK4 weights beta depend on (t, dc) only, the known
-        # forcing and e_mir on (t, dm) only, so the known part of Q and the
-        # weights of its history taps are sums of outer products
+        # a grid: the same four factors as sums of outer products over (dm, dc)
         beta = np.concatenate((beta0, beta1, np.full_like(beta0, h / 6.0)), axis=1)
         u, e = _stages(self.known[:, :, 0]), _stages(e_mir)
         self.left = np.stack((u, e, e, e))
@@ -533,16 +537,7 @@ class _RetardedTables:
 
     def step_map(self, s, taps):
         b = slice(s.start // 2, s.stop // 2)
-        q, w_a, w_b, w_c = np.matmul(self.left[:, b], self.right[:, b])
-        # taps hold the history at steps j-1 .. j+nb+1 (j = i - n_sub)
-        nb = len(q)
-        w_c *= np.add(taps[:nb], taps[3:])
-        w_a *= taps[1:nb + 1]
-        w_b *= taps[2:nb + 2]
-        q += w_a
-        q += w_b
-        q += w_c
-        return self.p[b], q
+        return self.p[b], _tap_sum(*np.matmul(self.left[:, b], self.right[:, b]), taps)
 
     def forcing(self, taps):
         # the even half-steps read stored nodes, the odd ones cubic midpoints
@@ -598,6 +593,17 @@ def _step_bytes(shape: tuple) -> int:
     """Table bytes per step: one full-grid plane (the zero-lag c) and about
     `_LAG_TABLES` numbers per lag."""
     return 16 * (math.prod(shape) + _LAG_TABLES * sum(shape))
+
+
+def _check_work(what: str, work: float = 0, cells: int = 0, slots: int = 5) -> None:
+    """Refuse, before it is allocated, `work` bytes and a ring of `slots`
+    states of 16 B per cell that together pass `_WORK_BYTES`.  A ring has
+    n_sub + block + 4 slots, so no run takes fewer than 5, and a lag grid can
+    be refused by its cell count before it is built."""
+    work += 16 * slots * cells
+    if work > _WORK_BYTES:
+        raise DomainError(f"{what} need about {work / 2**30:.3g} GiB, "
+                          f"over the {_WORK_BYTES / 2**30:.3g} GiB work budget")
 
 
 def _chunk_length(shape: tuple, block: int) -> int:
@@ -702,11 +708,10 @@ def _scan_cell(tables, ring, i0: int, i1: int, block: int) -> None:
     for k, m in _scan_blocks(p, block):
         i, nb = i0 + k, m - k
         q_b = q[k:m]
-        if n_sub:  # Q reads the history, stored up to step i
-            taps = _taps(states, i, nb, n_sub, i)
-            q_b = q_b + w_a[k:m] * taps[1:nb + 1]
-            q_b += w_b[k:m] * taps[2:nb + 2]
-            q_b += w_c[k:m] * np.add(taps[:nb], taps[3:])
+        if n_sub:
+            # Q reads the history, stored up to step i; each block's slice of
+            # the chunk series is read once, so the tap sum builds Q in it
+            q_b = _tap_sum(q_b, w_a[k:m], w_b[k:m], w_c[k:m], _taps(states, i, nb, n_sub, i))
         states[i + 1:i0 + m + 1] = _scan(p[k:m], q_b, states[i])
 
 
@@ -725,11 +730,7 @@ def _integrate(tables, n: int):
     chunk = _chunk_length(shape, block)
     scalar = cells == 1
     slots = n_sub + block + 4 + (n if scalar else 0)
-    work = 16 * slots * cells + min(chunk, n) * _step_bytes(shape)
-    if work > _WORK_BYTES:
-        raise DomainError(
-            f"{cells} cells x {n} steps need about {work / 2**30:.3g} GiB, "
-            f"over the {_WORK_BYTES / 2**30:.3g} GiB work budget")
+    _check_work(f"{cells} cells x {n} steps", min(chunk, n) * _step_bytes(shape), cells, slots)
     # zeroed, so history before tau = 0 (the slots past the stored steps) reads 0
     ring = np.zeros((slots,) + shape, dtype=complex)
     a = ring[0]
@@ -841,8 +842,11 @@ def single_excitation_oracle(config: TransferConfig, profile,
     if not 0.0 < bin_width <= config.horizon:
         raise DomainError(f"bin width must be positive and at most the horizon "
                           f"{config.horizon}, got {bin_width}")
+    bins = config.horizon / bin_width
+    # at most about eight floats per bin are held at once
+    _check_work(f"{bins:.3g} bins of width {bin_width:.3g}", 64 * bins)
     rho = config.ratio
-    n = int(round(config.horizon / bin_width))
+    n = int(round(bins))
     mid = (np.arange(n) + 0.5) * bin_width
     coupling = 4.0 * np.cos(np.asarray(profile.theta(mid), dtype=float) / 2.0) ** 2
     alpha = np.exp(-0.5 * coupling * bin_width)

@@ -1,5 +1,9 @@
 """Batch CLI: verbs, exit codes, file formats, determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import subprocess
@@ -572,6 +576,116 @@ def test_bad_input_exits_2(tmp_path, capsys, name):
     assert [str(w.message) for w in caught] == []
     if name in NAMED_KEY:
         assert repr(NAMED_KEY[name]) in err
+
+
+# verb: (argv the file path is appended to, a valid document holding every key
+# its objects may hold, the paths that may be null, the required keys per object)
+MALFORMED_VERBS = {
+    "memory simulate": (
+        ["memory", "simulate", "--config"],
+        {"kappa_e_hz": 3e5, "r_hz": 1e5, "kappa_i_hz": 0.0, "delta_f_ns": 60,
+         "delta_m_ns": 21, "delta_c_ns": -34, "horizon": 1.5, "slope_cap": 23.0},
+        {("slope_cap",)}, {(): {"kappa_e_hz", "r_hz"}}),
+    "slh compose": (
+        ["slh", "compose", "--network"],
+        {"nodes": [{"name": "c", "kind": "cavity",
+                    "params": {"kappa_e_hz": 3e5, "kappa_i_hz": 1e3, "detuning_hz": 0.0}},
+                   {"name": "t", "kind": "trivial", "params": {"n": 3}}],
+         "script": [{"op": "series", "args": ["c", "t"], "name": "s"}]},
+        {("script", 0, "name")},
+        {(): {"nodes"}, ("nodes", 0): {"name", "kind"}, ("script", 0): {"op", "args"}}),
+    "pmmi apply": (
+        ["pmmi", "apply", "--basis", "0", "--plan"],
+        {"screen": [0.1, 0.2, 0.3], "elements": [{"i": 0, "theta": 1.0, "phi": 0.5},
+                                                 {"i": 1, "theta": 2.0, "phi": -0.5}],
+         "reconstruction_error": 1e-15},
+        {("reconstruction_error",)},
+        {(): {"screen", "elements"}, ("elements", 1): {"i", "theta", "phi"}}),
+}
+JSON_KINDS = {"number": st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+              "string": st.text(max_size=4), "bool": st.booleans(), "null": st.none(),
+              "list": st.lists(st.integers(), max_size=2),
+              "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)}
+
+
+def json_kind(value):
+    return {bool: "bool", int: "number", float: "number", str: "string", type(None): "null",
+            list: "list", dict: "object"}[type(value)]
+
+
+def paths_in(doc, path=()):
+    """(path, value) of every value below the root of `doc`."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from paths_in(value, path + (key,))
+
+
+def edited(doc, path, value=None, drop=False):
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(lambda d, key: d[key], path[:-1], doc)
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def malformed_inputs(draw):
+    """(verb, file text): a valid input file of the verb, truncated, with a
+    value of a wrong JSON type, a NaN or Infinity literal or an int beyond the
+    float range in place of a number, or with an unknown key or without a
+    required one."""
+    verb = draw(st.sampled_from(sorted(MALFORMED_VERBS)))
+    _, doc, nullable, required = MALFORMED_VERBS[verb]
+    values = dict(paths_in(doc))
+    numbers = sorted((p for p, v in values.items() if json_kind(v) == "number"), key=repr)
+    kind = draw(st.sampled_from(["truncated", "wrong type", "non-finite", "huge int",
+                                 "unknown key", "missing key"]))
+    if kind == "truncated":
+        text = json.dumps(doc)
+        return verb, text[:draw(st.integers(0, len(text) - 2))]
+    if kind == "wrong type":
+        path = draw(st.sampled_from(sorted(values, key=repr)))
+        wrong = {json_kind(values[path])} | ({"null"} if path in nullable else set())
+        doc = edited(doc, path, draw(st.sampled_from(sorted(JSON_KINDS.keys() - wrong))
+                                     .flatmap(JSON_KINDS.get)))
+    elif kind in ("non-finite", "huge int"):
+        value = (st.sampled_from([math.nan, math.inf, -math.inf]) if kind == "non-finite"
+                 else st.sampled_from([10 ** 400, -(10 ** 400)]))
+        doc = edited(doc, draw(st.sampled_from(numbers)), draw(value))
+    elif kind == "unknown key":
+        path = draw(st.sampled_from([()] + sorted((p for p, v in values.items()
+                                                   if isinstance(v, dict)), key=repr)))
+        target = functools.reduce(lambda d, key: d[key], path, doc)
+        key = draw(st.text(max_size=6).filter(lambda k: k not in target))
+        doc = edited(doc, path + (key,), draw(st.integers()))
+    else:
+        path = draw(st.sampled_from(sorted(required, key=repr)))
+        doc = edited(doc, path + (draw(st.sampled_from(sorted(required[path]))),), drop=True)
+    return verb, json.dumps(doc)
+
+
+@pytest.mark.parametrize("verb", sorted(MALFORMED_VERBS))
+def test_malformed_input_starts_from_a_valid_file(tmp_path, capsys, verb):
+    argv, doc, _, _ = MALFORMED_VERBS[verb]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, [*argv, str(path)])[0] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_inputs())
+def test_malformed_input_file_exits_2_with_one_line(tmp_path_factory, case):
+    verb, text = case
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*MALFORMED_VERBS[verb][0], str(path)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("invalid input: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("port", ["0.5", "1.0", pytest.param(HUGE, id="huge-int")])
