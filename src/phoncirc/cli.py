@@ -109,12 +109,13 @@ def _write_json(write, obj, level: int = 0) -> None:
     """Stream `obj` to `write` as ``json.dump(obj, indent=2, sort_keys=True)`` does.
 
     The bytes are the same.  Only the indentation of a non-empty dict, list
-    or tuple is written here; every other text (a scalar, ``{}``, ``[]``, a
-    non-str key) comes from the C encoder, which also refuses an unsupported
-    object.  A list of numbers, and each chunk of `_CHUNK` records that share
-    one key set and hold only numbers, goes through the C encoder in one call
-    and is laid out by string replacement or a row template: no string occurs
-    in that text, so its ", " separators are exactly the item separators.
+    or tuple is written here, and a `_Laid` text as it is; every other text (a
+    scalar, ``{}``, ``[]``, a non-str key) comes from the C encoder, which
+    also refuses an unsupported object.  A list of numbers, and each chunk of
+    `_CHUNK` records that share one key set and hold only numbers, goes
+    through the C encoder in one call and is laid out by string replacement
+    or a row template: no string occurs in that text, so its ", " separators
+    are exactly the item separators.
     """
     if isinstance(obj, (list, tuple)) and obj:
         _write_list(write, obj, level)
@@ -132,7 +133,17 @@ def _write_json(write, obj, level: int = 0) -> None:
             sep = "," + inner
         write("\n" + "  " * level + "}")
     else:
-        write(_ENCODE(obj))
+        write(obj if type(obj) is _Laid else _ENCODE(obj))
+
+
+class _Laid(str):
+    """JSON text already laid out at its depth, which `_write_json` writes as is."""
+
+
+def _layout(value, level: int) -> _Laid:
+    parts = []
+    _write_json(parts.append, value, level)
+    return _Laid("".join(parts))
 
 
 def _write_list(write, items, level: int) -> None:
@@ -191,11 +202,16 @@ def _write_csv(write, header: str, columns) -> None:
 def _emit(args, result: dict, csv, t0: float) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "tool", "verb")}
     if args.output:
+        if csv is None:
+            # each value is laid out once, at its depth in the envelope; the
+            # file holds the same text one indent level up (no laid-out string
+            # holds a raw newline, so every newline starts an indent)
+            result = {key: _layout(value, 2) for key, value in result.items()}
         with open(args.output, "w") as fh:
             if csv is not None:
                 _write_csv(fh.write, *csv)
             else:
-                _write_json(fh.write, result)
+                _write_json(lambda text: fh.write(text.replace("\n  ", "\n")), result, 1)
                 fh.write("\n")
         result = dict(result, output_path=args.output)
     envelope = {
@@ -317,20 +333,20 @@ def _cmd_pmmi_decompose(args):
 
 
 def _cmd_pmmi_apply(args):
+    if (args.input is None) == (args.basis is None):
+        raise DomainError("give exactly one of --input or --basis")
     with open(args.plan) as fh:
         plan = circuits.MeshPlan.from_json(fh.read())
-    if args.input:
+    if args.input is not None:
         row = circuits.read_csv(args.input)
         if row.shape[0] != 1 or row.shape[1] != 2 * plan.n_modes or not np.isfinite(row).all():
             raise DomainError("input CSV must be one row of 2N finite reals (re, im)")
         x = row[0, 0::2] + 1j * row[0, 1::2]
-    elif args.basis is not None:
-        if not 0 <= args.basis < plan.n_modes:
-            raise DomainError(f"basis index must lie in 0..{plan.n_modes - 1}")
+    elif not 0 <= args.basis < plan.n_modes:
+        raise DomainError(f"basis index must lie in 0..{plan.n_modes - 1}")
+    else:
         x = np.zeros(plan.n_modes, dtype=complex)
         x[args.basis] = 1.0
-    else:
-        raise DomainError("provide --input or --basis")
     y = circuits.mesh_apply(plan, x)
     return {"output_re": y.real.tolist(), "output_im": y.imag.tolist()}, None
 

@@ -26,7 +26,8 @@ linear in A, one RK4 step is exactly the affine map a[i+1] = P[i] a[i] + Q[i]:
 P depends only on time and the detuning lag, Q on the input and the delayed
 history.  The coefficient tables hold the decay c and the known forcing (the
 input and its echo, without the history) one chunk of steps at a time, sized
-from a byte budget so that they do not grow with the horizon.  Without a
+from a byte budget so that they do not grow with the horizon; a chunk's
+tables are dropped before the next chunk's are built.  Without a
 delay that is the whole equation, and the integrator maps it to (P, Q)
 itself.  With one, the step divides the round trip into n_sub steps, so the
 retarded input at any half-step is the direct input 2 n_sub half-steps
@@ -42,9 +43,13 @@ w_B = -(9/16 beta1 e1 + h/6 e2) and w_C = beta1 e1 / 16.  One tap sum,
 q + w_A H[j] + w_B H[j+1] + w_C (H[j-1] + H[j+2]), builds the Q of every
 block.  A single cell's tables hold its four factors as 1-D series per chunk.
 On a lag grid P and beta depend on (t, delta_c) only, e and u on (t, delta_m)
-only, so the four factors are sums of outer products, built by one batched
-matmul per block.  In the zero-lag limit the mirror term folds into P, which
-is then full-grid.
+only, so the four factors are sums of outer products over the three stages.
+A grid's chunk holds only what its blocks read: u and e (steps, dm, 3), the
+three beta rows (steps, 3, dc) and P.  Each block multiplies the rows of Q's
+weights into its own beta rows and runs two matmuls, u by the first row and
+e by the other three, into one factor buffer of the run, where the tap sum
+then builds Q: a block step allocates no array.  In the zero-lag limit the
+mirror term folds into P, which is then full-grid.
 
 A single cell solves each block as one prefix scan: with L the running
 product of P over the block, its states are L (a0 + cumsum(Q / L)), written
@@ -407,15 +412,18 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 #
 # Both builders describe the linear equation dA/dtau = c A - f on the
 # half-step grid tau = k h / 2 that the RK4 stages visit, one chunk of steps
-# at a time: `load(k0, k1)` fills the tables of half-steps k0..k1, among them
-# `coef` (c) and `known` (f without the delayed history).  Without a delay
-# (`n_sub == 0`) that is the whole equation, and `_integrate` steps it
-# itself.  Delayed tables add P (`p`) and `forcing(taps)`, f over the chunk;
-# for Q, a grid's add `step_map(s, taps)`, the (P, Q) of the block on the
-# chunk's half-step slice s, and a single cell's the series `q`, `w_a`,
-# `w_b` and `w_c` over the chunk's steps.  The energy bookkeeping of a
-# one-cell run also reads `output(s, f, y)`, the outgoing field of a stage
-# with forcing f and state y.
+# at a time: `load(k0, k1)` replaces the last chunk's tables with those of
+# half-steps k0..k1.  Without a delay (`n_sub == 0`) they hold `coef` (c)
+# and `known` (f without the delayed history), the whole equation, and
+# `_integrate` steps it itself.  Delayed tables hold P (`p`) and, for Q, a
+# single cell's the series `q`, `w_a`, `w_b` and `w_c` over the chunk's
+# steps, a grid's only the stage tables `u` (known f) and `e` (mirror phase)
+# and the RK4 weights `beta`, from which `step_map(s, taps)` forms the
+# (P, Q) of the block on the chunk's half-step slice s in buffers that every
+# block reuses.  The energy bookkeeping of a one-cell run reads `coef`,
+# `forcing(taps)`, f over the chunk, and `output(s, f, y)`, the outgoing
+# field of a stage with forcing f and state y; only a single cell's tables
+# keep what those read.
 
 class _FreeTables:
     """Delay-free tables; real-valued, so the trajectory stays real."""
@@ -450,12 +458,13 @@ _Q_ROWS = np.array([[-1.0, -1.0, -1.0],
 def _tap_sum(q, w_a, w_b, w_c, taps):
     """Q = q + w_A H[j] + w_B H[j+1] + w_C (H[j-1] + H[j+2]) of a block's steps,
     from its taps H[j-1] .. H[j+nb+1] (j = i - n_sub); built in q, and the
-    weights are overwritten."""
+    weights are overwritten, w_A's plane with H[j-1] + H[j+2] once it is added
+    in, so that no array is created."""
     nb = len(q)
-    w_c *= np.add(taps[:nb], taps[3:])
     w_a *= taps[1:nb + 1]
-    w_b *= taps[2:nb + 2]
     q += w_a
+    w_c *= np.add(taps[:nb], taps[3:], out=w_a)
+    w_b *= taps[2:nb + 2]
     q += w_b
     q += w_c
     return q
@@ -473,7 +482,8 @@ class _RetardedTables:
     axis and the dm tables a trailing unit dc axis, so that every block
     broadcasts to (steps, len(dm), len(dc)).  Only the factors of Q differ
     by shape: 1-D series for a single cell, which `_integrate` scans, and
-    outer-product factors for a grid.
+    for a grid the stage tables and RK4 weights whose outer products
+    `step_map` forms one block at a time.
     """
 
     def __init__(self, profile, rho: float, ki: float, lag: float, n_sub: int,
@@ -483,6 +493,7 @@ class _RetardedTables:
         self.dm_tau, self.dc_tau = dm_tau, dc_tau
         self.shape = (len(dm_tau), len(dc_tau))
         self.cell = self.shape == (1, 1)
+        self.rows = self.factors = None
 
     def _input(self, t):
         """The input phase e^(-i theta/2) at times t, and the drive: that phase
@@ -492,6 +503,9 @@ class _RetardedTables:
 
     def load(self, k0: int, k1: int):
         theta, lag, h = self.theta, self.lag, self.h
+        # one chunk at a time: the last chunk's tables go before these are built
+        self.coef = self.known = self.e_mir = self.drive = self.e_dir = None
+        self.p = self.q = self.w_a = self.w_b = self.w_c = self.u = self.e = self.beta = None
         # the retarded input is the direct input 2 n_sub half-steps earlier, so
         # one table holds both: the retarded half-steps, then the direct ones
         # k0..k1 (one range unless the lag is longer than the chunk)
@@ -504,40 +518,50 @@ class _RetardedTables:
         tg = te[-n:]
         e_dir, drive = self._input(te)
         echo_in = drive[:n]
-        e_dir, drive = e_dir[-n:], drive[-n:]
+        e_dir, drive = e_dir[-n:, None, None], drive[-n:, None, None]
         sin_dc = np.sin(np.asarray(theta(tg[:, None] - self.dc_tau), dtype=float))
         e_mir = np.exp(1j * np.asarray(
             theta(tg[:, None] - 0.5 * lag - self.dm_tau), dtype=float))
-        self.e_dir = e_dir[:, None, None]
-        self.drive = drive[:, None, None]
-        self.coef = (1j * sin_dc - (1.0 + 0.5 * self.ki))[:, None, :]
-        self.e_mir = e_mir[:, :, None]
-        self.known = self.e_mir * echo_in[:, None, None] + self.drive
+        coef = (1j * sin_dc - (1.0 + 0.5 * self.ki))[:, None, :]
+        known = e_mir[:, :, None] * echo_in[:, None, None] + drive
+        if self.cell:
+            # only a single cell's energy bookkeeping reads these
+            self.e_mir, self.drive, self.e_dir = e_mir[:, :, None], drive, e_dir
         if not self.n_sub:
             # zero-lag limit: the delayed state is the stage state, so e_mir
             # folds into a full-grid c
-            self.coef = self.coef - self.e_mir
+            self.coef, self.known = coef - e_mir[:, :, None], known
             return
-        self.p, beta0, beta1 = _rk4_weights(self.coef, h)
+        self.p, beta0, beta1 = _rk4_weights(coef, h)
         if self.cell:
             # one cell: the known part of Q and the weights of its history
             # taps as 1-D series over the chunk's steps (the rows of _Q_ROWS)
-            b0, b1, u, e = (x.reshape(-1) for x in (beta0, beta1, self.known, e_mir))
+            self.coef, self.known = coef, known
+            b0, b1, u, e = (x.reshape(-1) for x in (beta0, beta1, known, e_mir))
             e1 = b1 * e[1::2]
             self.q = -(b0 * u[:-1:2] + b1 * u[1::2] + h / 6.0 * u[2::2])
             self.w_a = -(b0 * e[:-1:2] + 9.0 / 16.0 * e1)
             self.w_b = -(9.0 / 16.0 * e1 + h / 6.0 * e[2::2])
             self.w_c = e1 / 16.0
             return
-        # a grid: the same four factors as sums of outer products over (dm, dc)
-        beta = np.concatenate((beta0, beta1, np.full_like(beta0, h / 6.0)), axis=1)
-        u, e = _stages(self.known[:, :, 0]), _stages(e_mir)
-        self.left = np.stack((u, e, e, e))
-        self.right = _Q_ROWS[:, None, :, None] * beta
+        # a grid: the stage values of u and e over dm and the RK4 weights over
+        # dc, which step_map multiplies out one block at a time
+        self.u, self.e = _stages(known[:, :, 0]), _stages(e_mir)
+        self.beta = np.concatenate((beta0, beta1, np.full_like(beta0, h / 6.0)), axis=1)
 
     def step_map(self, s, taps):
         b = slice(s.start // 2, s.stop // 2)
-        return self.p[b], _tap_sum(*np.matmul(self.left[:, b], self.right[:, b]), taps)
+        nb = b.stop - b.start
+        if self.rows is None or self.rows.shape[1] < nb:
+            # one pair of buffers for the run: the first block is its longest
+            self.rows = np.empty((4, nb, 3, self.shape[1]), dtype=complex)
+            self.factors = np.empty((4, nb) + self.shape, dtype=complex)
+        rows, factors = self.rows[:, :nb], self.factors[:, :nb]
+        # the four factors of Q: u times _Q_ROWS[0] beta, e times the other rows
+        np.multiply(_Q_ROWS[:, None, :, None], self.beta[b], out=rows)
+        np.matmul(self.u[b], rows[0], out=factors[0])
+        np.matmul(self.e[b], rows[1:], out=factors[1:])
+        return self.p[b], _tap_sum(*factors, taps)
 
     def forcing(self, taps):
         # the even half-steps read stored nodes, the odd ones cubic midpoints
@@ -567,7 +591,7 @@ _BLOCK_CELL_STEPS = 8192
 #: bytes and steps per table chunk
 _CHUNK_BYTES = 1 << 24
 _CHUNK_STEPS = 2048
-#: complex numbers per lag and step in a chunk's tables and step-map factors
+#: complex numbers per lag and step budgeted for a chunk's tables
 _LAG_TABLES = 16
 #: bytes a run may take for its ring and one chunk of tables
 _WORK_BYTES = 1 << 30

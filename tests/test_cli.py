@@ -548,6 +548,10 @@ BAD_INPUTS = {
                                       "--kappa-e-hz", "1e-320"]),
     # an empty CSV: numpy's no-data warning is silenced, the shape check refuses
     "unitary-empty-csv": ("", ["pmmi", "decompose", "--unitary"]),
+    # exactly one input vector: both flags are refused before either is read
+    "apply-input-and-basis": ('{"screen": [0], "elements": []}',
+                              ["pmmi", "apply", "--basis", "5", "--input", "x.csv", "--plan"]),
+    "apply-no-input": ('{"screen": [0], "elements": []}', ["pmmi", "apply", "--plan"]),
 }
 
 # rows whose error must name this key
@@ -799,6 +803,38 @@ def test_every_verb_prints_strict_json(tmp_path, capsys):
         manifest = json.loads(out, parse_constant=no_constants)["manifest"]
         assert manifest["command"] == " ".join(argv[:2])
         assert set(manifest["parameters"]) == parameters, argv
+
+
+def test_json_output_file_is_the_printed_result(tmp_path, capsys):
+    # the file holds the printed result without its output_path, one indent
+    # level up from its place in the envelope
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(network_doc()))
+    ucsv = tmp_path / "u.csv"
+    # 276 elements: more than one chunk of the record writer
+    write_unitary_csv(ucsv, circuits.haar_unitary(24, np.random.default_rng(14)))
+    plan = tmp_path / "plan.json"
+    strain = ["--strain", "[0.01,0,0,0.002,0,0]"]
+    verbs = [
+        ["pmmi", "decompose", "--unitary", str(ucsv)],
+        ["pmmi", "apply", "--plan", str(plan), "--basis", "1"],
+        ["tensor", "energy", *strain],
+        ["tensor", "phonoelastic", *strain],
+        ["tensor", "bond", *strain, "--xi", "0.3"],
+        ["slh", "compose", "--network", str(net)],
+        ["memory", "fidelity", "--ratio", "0.5", "--kappa-e-hz", "300e3"],
+    ]
+    assert {tuple(argv[:2]) for argv in verbs} == {
+        (tool, verb) for tool, (_, table) in cli._TOOLS.items()
+        for verb, (_, writes, _) in table.items() if "JSON" in writes}
+    for argv in verbs:
+        path = plan if argv[1] == "decompose" else tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, [*argv, "--output", str(path)])
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        result = result_of(out)
+        assert result.pop("output_path") == str(path)
+        assert path.read_text() == json.dumps(result, indent=2, sort_keys=True) + "\n", argv
 
 
 # --- the JSON writer ----------------------------------------------------------------

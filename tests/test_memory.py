@@ -1,6 +1,7 @@
 """Capture profiles and transfer simulations, delay-free and retarded."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -332,6 +333,12 @@ def test_scan_matches_per_cell_runs(monkeypatch, delta_f):
     assert np.max(np.abs(scan.fidelity_grid - np.array(cells))) <= 1e-12
 
 
+def scan_7x6(cfg, prof):
+    """A 7 x 6 lag grid inside a 60 ns round trip."""
+    return memory.optimize_delays(cfg, prof, np.linspace(0.0, 42.0, 7) * NS,
+                                  np.linspace(-50.0, -10.0, 6) * NS)
+
+
 CHUNKED_RUNS = {
     "delay-free": (memory.simulate_transfer, dict(kappa_i=0.02 * KAPPA_E)),
     "zero-lag": (memory.simulate_with_delay, dict(kappa_i=0.02 * KAPPA_E, delta_c=-34 * NS)),
@@ -341,6 +348,7 @@ CHUNKED_RUNS = {
     "delay-20ns": (memory.simulate_with_delay,
                    dict(kappa_i=0.02 * KAPPA_E, delta_f=20 * NS, delta_m=7 * NS,
                         delta_c=-11 * NS)),
+    "grid-60ns": (scan_7x6, dict(kappa_i=0.02 * KAPPA_E, delta_f=60 * NS)),
 }
 
 
@@ -360,22 +368,47 @@ def test_chunking_leaves_runs_unchanged(monkeypatch, run, blocks):
     cfg = config(horizon=3.1, **kw)
     prof = memory.optimal_profile(1 / 3)
     want = simulate(cfg, prof)
+    shape = (7, 6) if simulate is scan_7x6 else (1, 1)
     h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
-    block = memory._block_length(1, n_sub)
+    block = memory._block_length(math.prod(shape), n_sub)
     assert block == (19 if run == "delay-20ns" else scan_block)
     monkeypatch.setattr(memory, "_CHUNK_STEPS", blocks * block)
-    chunk = memory._chunk_length((1, 1), block)
+    chunk = memory._chunk_length(shape, block)
     assert chunk == blocks * block
     n = memory._ode_step_count(cfg.horizon, h)
     assert n > chunk and n % chunk != 0
     if n_sub and blocks == 1:
         assert chunk < n_sub
     got = simulate(cfg, prof)
+    if simulate is scan_7x6:
+        assert np.array_equal(got.fidelity_grid, want.fidelity_grid)
+        return
     assert got.fidelity == want.fidelity
     assert np.array_equal(got.amplitude, want.amplitude)
     assert got.intrinsic_fraction > 1e-3
     assert abs(got.reflected_fraction - want.reflected_fraction) <= 1e-12
     assert abs(got.intrinsic_fraction - want.intrinsic_fraction) <= 1e-12
+
+
+def test_lag_grid_holds_one_lean_chunk():
+    # a grid chunk keeps only what its blocks read, one chunk at a time, and
+    # its blocks reuse one factor buffer: the tables stay far below the
+    # chunk budget over the five chunks of this run
+    cfg = config(kappa_i=2 * math.pi, delta_f=60 * NS, horizon=5.0)
+    prof = memory.optimal_profile(1 / 3)
+    dm, dc = np.linspace(0.0, 60.0, 31) * NS, np.linspace(-60.0, 0.0, 31) * NS
+    cells = dm.size * dc.size
+    h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
+    block = memory._block_length(cells, n_sub)
+    assert memory._ode_step_count(cfg.horizon, h) > 4 * memory._chunk_length((31, 31), block)
+    ring = 16 * cells * (n_sub + block + 4)
+    tracemalloc.start()
+    try:
+        memory.optimize_delays(cfg, prof, dm, dc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ring + memory._CHUNK_BYTES / 2
 
 
 @settings(max_examples=60, deadline=None)
