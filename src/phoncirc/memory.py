@@ -27,7 +27,11 @@ P depends only on time and the detuning lag, Q on the input and the delayed
 history.  The coefficient tables hold the decay c and the known forcing (the
 input and its echo, without the history) one chunk of steps at a time, sized
 from a byte budget so that they do not grow with the horizon; a chunk's
-tables are dropped before the next chunk's are built.  Without a
+tables are dropped before the next chunk's are built.  A chunk's tables,
+and the profile values they come from, are built in place, and a grid drops
+each half-step table once it is folded into a kept one, so building a chunk
+takes little beyond what it keeps.  The budget is 4 MiB, where the 61 x 61
+scan runs as fast as at 16 MiB and a smaller one made it slower.  Without a
 delay that is the whole equation, and the integrator maps it to (P, Q)
 itself.  With one, the step divides the round trip into n_sub steps, so the
 retarded input at any half-step is the direct input 2 n_sub half-steps
@@ -48,7 +52,8 @@ A grid's chunk holds only what its blocks read: u and e (steps, dm, 3), the
 three beta rows (steps, 3, dc) and P.  Each block multiplies the rows of Q's
 weights into its own beta rows and runs two matmuls, u by the first row and
 e by the other three, into one factor buffer of the run, where the tap sum
-then builds Q: a block step allocates no array.  In the zero-lag limit the
+then builds Q; taps that wrap the ring are copied into one window buffer of
+the run: a block step allocates no array.  In the zero-lag limit the
 mirror term folds into P, which is then full-grid.
 
 A single cell solves each block as one prefix scan: with L the running
@@ -155,13 +160,19 @@ def phase_from_coupling(kappa_ratio) -> np.ndarray | float:
 
     theta = arccos(kappa_ratio/2 - 1); arguments beyond [-1, 1] by more than
     1e-12 raise, smaller excursions are clamped (they arise from rounding
-    right at tau_c).
+    right at tau_c).  `kappa_ratio` is copied, never written.
     """
-    arg = np.asarray(kappa_ratio, dtype=float) / 2.0 - 1.0
-    if np.any(arg > 1.0 + _ARCCOS_SLACK) or np.any(arg < -1.0 - _ARCCOS_SLACK):
-        raise ProfileOutOfRange("coupling ratio outside [0, 4]")
-    out = np.arccos(np.clip(arg, -1.0, 1.0))
+    out = _phase(np.array(kappa_ratio, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def _phase(k: np.ndarray) -> np.ndarray:
+    """:func:`phase_from_coupling` of the float array k, evaluated in k."""
+    k /= 2.0
+    k -= 1.0
+    if k.size and (k.max() > 1.0 + _ARCCOS_SLACK or k.min() < -1.0 - _ARCCOS_SLACK):
+        raise ProfileOutOfRange("coupling ratio outside [0, 4]")
+    return np.arccos(np.clip(k, -1.0, 1.0, out=k), out=k)
 
 
 @dataclass(frozen=True)
@@ -179,16 +190,28 @@ class OptimalProfile:
         roll-off rho w / (a1 - w) with w = e^{-rho tau}; continuous across
         tau_c by construction.
         """
-        tau_arr = np.asarray(tau, dtype=float)
-        out = np.full(tau_arr.shape, MAX_COUPLING_RATIO)
-        late = tau_arr > self.tau_c
-        w = np.exp(-self.ratio * tau_arr[late])
-        out[late] = self.ratio * w / (self.a1 - w)
+        out = self._coupling(tau)
         return float(out) if np.isscalar(tau) else out
 
     def theta(self, tau):
         """Round-trip phase of :meth:`coupling`: 0 up to tau_c, then rising to pi."""
-        return phase_from_coupling(self.coupling(tau))
+        out = _phase(self._coupling(tau))
+        return float(out) if out.ndim == 0 else out
+
+    def _coupling(self, tau) -> np.ndarray:
+        """:meth:`coupling` as a fresh array; the roll-off is evaluated in place
+        on the late times alone, beside its denominator a1 - w."""
+        tau = np.asarray(tau, dtype=float)
+        out = np.full(tau.shape, MAX_COUPLING_RATIO)
+        late = tau > self.tau_c
+        w = tau[late]
+        w *= -self.ratio
+        w = np.exp(w, out=w)
+        den = np.subtract(self.a1, w)
+        w *= self.ratio
+        w /= den
+        out[late] = w
+        return out
 
 
 def optimal_profile(ratio: float) -> OptimalProfile:
@@ -413,7 +436,9 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 # Both builders describe the linear equation dA/dtau = c A - f on the
 # half-step grid tau = k h / 2 that the RK4 stages visit, one chunk of steps
 # at a time: `load(k0, k1)` replaces the last chunk's tables with those of
-# half-steps k0..k1.  Without a delay (`n_sub == 0`) they hold `coef` (c)
+# half-steps k0..k1, built in place; the half-step sin(theta), c, mirror phase
+# and f that a grid folds into its kept tables are dropped as soon as they
+# are.  Without a delay (`n_sub == 0`) they hold `coef` (c)
 # and `known` (f without the delayed history), the whole equation, and
 # `_integrate` steps it itself.  Delayed tables hold P (`p`) and, for Q, a
 # single cell's the series `q`, `w_a`, `w_b` and `w_c` over the chunk's
@@ -519,20 +544,33 @@ class _RetardedTables:
         e_dir, drive = self._input(te)
         echo_in = drive[:n]
         e_dir, drive = e_dir[-n:, None, None], drive[-n:, None, None]
-        sin_dc = np.sin(np.asarray(theta(tg[:, None] - self.dc_tau), dtype=float))
-        e_mir = np.exp(1j * np.asarray(
-            theta(tg[:, None] - 0.5 * lag - self.dm_tau), dtype=float))
-        coef = (1j * sin_dc - (1.0 + 0.5 * self.ki))[:, None, :]
-        known = e_mir[:, :, None] * echo_in[:, None, None] + drive
+        # each half-step table is built in place and, on a grid, dropped once
+        # it is folded into a kept one: c into P and beta before the mirror
+        # phase is built, f and the mirror phase into u and e
+        coef = np.sin(np.asarray(theta(tg[:, None] - self.dc_tau), dtype=float))
+        coef = np.multiply(1j, coef)[:, None, :]
+        coef -= 1.0 + 0.5 * self.ki
+        if self.n_sub:
+            self.p, beta0, beta1 = _rk4_weights(coef, h)
+            if not self.cell:
+                # a grid: the RK4 weights over dc, which step_map multiplies
+                # out one block at a time
+                coef = None
+                self.beta = np.concatenate((beta0, beta1, np.full_like(beta0, h / 6.0)), axis=1)
+                beta0 = beta1 = None
+        e_mir = np.multiply(1j, np.asarray(theta(tg[:, None] - 0.5 * lag - self.dm_tau),
+                                           dtype=float))
+        e_mir = np.exp(e_mir, out=e_mir)[:, :, None]
+        known = np.multiply(e_mir, echo_in[:, None, None])
+        known += drive
         if self.cell:
             # only a single cell's energy bookkeeping reads these
-            self.e_mir, self.drive, self.e_dir = e_mir[:, :, None], drive, e_dir
+            self.e_mir, self.drive, self.e_dir = e_mir, drive, e_dir
         if not self.n_sub:
             # zero-lag limit: the delayed state is the stage state, so e_mir
             # folds into a full-grid c
-            self.coef, self.known = coef - e_mir[:, :, None], known
+            self.coef, self.known = coef - e_mir, known
             return
-        self.p, beta0, beta1 = _rk4_weights(coef, h)
         if self.cell:
             # one cell: the known part of Q and the weights of its history
             # taps as 1-D series over the chunk's steps (the rows of _Q_ROWS)
@@ -544,10 +582,10 @@ class _RetardedTables:
             self.w_b = -(9.0 / 16.0 * e1 + h / 6.0 * e[2::2])
             self.w_c = e1 / 16.0
             return
-        # a grid: the stage values of u and e over dm and the RK4 weights over
-        # dc, which step_map multiplies out one block at a time
-        self.u, self.e = _stages(known[:, :, 0]), _stages(e_mir)
-        self.beta = np.concatenate((beta0, beta1, np.full_like(beta0, h / 6.0)), axis=1)
+        # a grid: the stage values of u and e over dm
+        self.u = _stages(known[:, :, 0])
+        known = None
+        self.e = _stages(e_mir[:, :, 0])
 
     def step_map(self, s, taps):
         b = slice(s.start // 2, s.stop // 2)
@@ -588,8 +626,11 @@ class _RetardedTables:
 #: cell-steps per block: 2 steps on the 61 x 61 paper grid, so that a block's
 #: full-grid temporaries stay in cache
 _BLOCK_CELL_STEPS = 8192
-#: bytes and steps per table chunk
-_CHUNK_BYTES = 1 << 24
+#: bytes and steps per table chunk.  4 MiB is the smallest budget at which
+#: the 61 x 61 scan at delta_f = 60 ns ran as fast as at 16 MiB, in 46-step
+#: chunks against 184 (interleaved runs); 2 MiB ran about 7 % slower and held
+#: the same peak.  A one-cell chunk stays at its `_CHUNK_STEPS` cap.
+_CHUNK_BYTES = 1 << 22
 _CHUNK_STEPS = 2048
 #: complex numbers per lag and step budgeted for a chunk's tables
 _LAG_TABLES = 16
@@ -640,13 +681,46 @@ def _chunk_length(shape: tuple, block: int) -> int:
 
 
 def _rk4_weights(c: np.ndarray, h: float):
-    """P, beta0 and beta1 of each RK4 step from c on its 2 steps + 1 half-steps."""
+    """P, beta0 and beta1 of each RK4 step from c on its 2 steps + 1 half-steps:
+
+        half = 1 + 0.5 hc0,  g = 2 + hc2,
+        P = 1 + (hc0 + 2 hc1 half + g hc1 (1 + 0.5 hc1 half) + hc2) / 6,
+        beta0 = h/6 (1 + hc1 + 0.25 g hc1 hc1),  beta1 = h/6 (2 + g (1 + 0.5 hc1)),
+
+    with hc = h c at a step's three stages, in seven arrays of the step count
+    reused in place.  Each product is taken left to right with its factors
+    in the order written, and a product of two arrays goes to a third: numpy's
+    complex multiply is not commutative bit for bit, and one that writes over
+    a one-element factor takes another loop.
+    """
     hc0, hc1, hc2 = h * c[:-1:2], h * c[1::2], h * c[2::2]
-    half = 1.0 + 0.5 * hc0
-    p = 1.0 + (hc0 + 2.0 * hc1 * half + (2.0 + hc2) * hc1 * (1.0 + 0.5 * hc1 * half)
-               + hc2) / 6.0
-    beta0 = h / 6.0 * (1.0 + hc1 + 0.25 * (2.0 + hc2) * hc1 * hc1)
-    beta1 = h / 6.0 * (2.0 + (2.0 + hc2) * (1.0 + 0.5 * hc1))
+    half = np.multiply(hc0, 0.5)
+    half += 1.0
+    t = np.multiply(hc1, 2.0)
+    u = np.multiply(t, half)
+    p = hc0
+    p += u
+    g = np.add(hc2, 2.0)
+    np.multiply(hc1, 0.5, out=t)
+    np.multiply(t, half, out=u)
+    u += 1.0
+    np.multiply(g, hc1, out=t)
+    np.multiply(t, u, out=half)
+    p += half
+    p += hc2
+    p /= 6.0
+    p += 1.0
+    np.multiply(g, 0.25, out=t)
+    np.multiply(t, hc1, out=u)
+    np.multiply(u, hc1, out=t)
+    beta0 = np.add(hc1, 1.0, out=u)
+    beta0 += t
+    beta0 *= h / 6.0
+    np.multiply(hc1, 0.5, out=t)
+    t += 1.0
+    beta1 = np.multiply(g, t, out=hc1)
+    beta1 += 2.0
+    beta1 *= h / 6.0
     return p, beta0, beta1
 
 
@@ -677,17 +751,19 @@ def _quadratures(tables, f, y1) -> tuple[float, float]:
     return h / 6.0 * float(refl), tables.ki * h / 6.0 * float(intr)
 
 
-def _taps(ring, i: int, nb: int, n_sub: int, now: int):
+def _taps(ring, i: int, nb: int, n_sub: int, now: int, window):
     """The history taps of steps i .. i+nb-1, ring states j-1 .. j+nb+1 with
-    j = i - n_sub, each stored by step `now`."""
+    j = i - n_sub, each stored by step `now`: a view of the ring, or, where
+    they wrap its end, a copy in the run's buffer `window`."""
     slots = len(ring)
     oldest, newest = i - n_sub - 1, i - n_sub + nb + 1
     if oldest <= now - slots or newest > now:
         raise HistoryUnderrun(
             f"steps {oldest}..{newest} are outside a {slots}-slot buffer at step {now}")
     lo = oldest % slots
-    return (ring[lo:lo + nb + 3] if lo + nb + 3 <= slots
-            else ring[np.arange(oldest, newest + 1) % slots])
+    if lo + nb + 3 <= slots:
+        return ring[lo:lo + nb + 3]
+    return np.take(ring, range(oldest, newest + 1), axis=0, out=window[:nb + 3], mode="wrap")
 
 
 def _scan_blocks(p: np.ndarray, block: int) -> list:
@@ -721,10 +797,12 @@ def _scan(p: np.ndarray, q: np.ndarray, a0) -> np.ndarray:
     return lp * (a0 + (q / lp).cumsum())
 
 
-def _scan_cell(tables, ring, i0: int, i1: int, block: int) -> None:
-    """Steps i0 .. i1 of a one-cell run as block prefix scans into its ring."""
+def _scan_cell(tables, ring, i0: int, i1: int, block: int, window) -> None:
+    """Steps i0 .. i1 of a one-cell run as block prefix scans into its ring;
+    `window` is the run's buffer for taps that wrap the ring."""
     n_sub = tables.n_sub
-    states = ring.reshape(-1)  # one cell: one state per slot, a view
+    # one cell: one state per slot, a view
+    states, window = ring.reshape(-1), window.reshape(-1)
     if n_sub:
         p, q, w_a, w_b, w_c = tables.p.reshape(-1), tables.q, tables.w_a, tables.w_b, tables.w_c
     else:
@@ -735,7 +813,8 @@ def _scan_cell(tables, ring, i0: int, i1: int, block: int) -> None:
         if n_sub:
             # Q reads the history, stored up to step i; each block's slice of
             # the chunk series is read once, so the tap sum builds Q in it
-            q_b = _tap_sum(q_b, w_a[k:m], w_b[k:m], w_c[k:m], _taps(states, i, nb, n_sub, i))
+            q_b = _tap_sum(q_b, w_a[k:m], w_b[k:m], w_c[k:m],
+                           _taps(states, i, nb, n_sub, i, window))
         states[i + 1:i0 + m + 1] = _scan(p[k:m], q_b, states[i])
 
 
@@ -757,14 +836,17 @@ def _integrate(tables, n: int):
     _check_work(f"{cells} cells x {n} steps", min(chunk, n) * _step_bytes(shape), cells, slots)
     # zeroed, so history before tau = 0 (the slots past the stored steps) reads 0
     ring = np.zeros((slots,) + shape, dtype=complex)
+    # the taps of a block, or of a one-cell chunk, where they wrap the ring
+    window = np.empty(((chunk if scalar else block) + 3,) + shape, dtype=complex)
     a = ring[0]
     refl = intr = 0.0
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         tables.load(2 * i0, 2 * i1)
         if scalar:
-            _scan_cell(tables, ring, i0, i1, block)
-            f = tables.forcing(_taps(ring, i0, i1 - i0, n_sub, i1)) if n_sub else tables.known
+            _scan_cell(tables, ring, i0, i1, block, window)
+            f = (tables.forcing(_taps(ring, i0, i1 - i0, n_sub, i1, window)) if n_sub
+                 else tables.known)
             # a real forcing (the delay-free tables) keeps the trajectory real
             y1 = ring[i0:i1].real if np.isrealobj(f) else ring[i0:i1]
             chunk_refl, chunk_intr = _quadratures(tables, f, y1)
@@ -774,11 +856,11 @@ def _integrate(tables, n: int):
         for i in range(i0, i1, block):
             nb = min(block, i1 - i)
             s = slice(2 * (i - i0), 2 * (i - i0 + nb) + 1)
-            p, q = (tables.step_map(s, _taps(ring, i, nb, n_sub, i)) if n_sub
+            p, q = (tables.step_map(s, _taps(ring, i, nb, n_sub, i, window)) if n_sub
                     else _step_map(tables.coef[s], tables.known[s], tables.h))
             # a grid steps through the block; each state goes straight into its ring slot
-            for pk, qk, k in zip(p, q, np.arange(i + 1, i + nb + 1) % slots):
-                a = np.multiply(pk, a, out=ring[k])
+            for k, (pk, qk) in enumerate(zip(p, q), i + 1):
+                a = np.multiply(pk, a, out=ring[k % slots])
                 a += qk
     fidelity = np.abs(ring[n % slots]) ** 2
     if not (np.all(np.isfinite(fidelity)) and math.isfinite(refl) and math.isfinite(intr)):
@@ -869,8 +951,12 @@ def single_excitation_oracle(config: TransferConfig, profile,
     bins = config.horizon / bin_width
     # at most about eight floats per bin are held at once
     _check_work(f"{bins:.3g} bins of width {bin_width:.3g}", 64 * bins)
+    n = round(bins)
+    if abs(bins - n) > 1e-9 * bins:
+        # a rounded bin count would end the run off the horizon
+        raise DomainError(f"bin width must divide the horizon {config.horizon}, "
+                          f"got {bin_width}")
     rho = config.ratio
-    n = int(round(bins))
     mid = (np.arange(n) + 0.5) * bin_width
     coupling = 4.0 * np.cos(np.asarray(profile.theta(mid), dtype=float) / 2.0) ** 2
     alpha = np.exp(-0.5 * coupling * bin_width)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import table_reference as ref
 from phoncirc import memory, slh
 from phoncirc.errors import (DomainError, InfeasibleCap, IntegrationError,
                              ProfileOutOfRange)
@@ -112,6 +114,63 @@ def test_phase_from_coupling_domain():
         memory.phase_from_coupling(4.1)
     with pytest.raises(ProfileOutOfRange):
         memory.phase_from_coupling(-0.1)
+
+
+def _same(got, want):
+    """Bit for bit, and of the same type and shape."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+# scalars, 0-d arrays, 1-D arrays and (steps, lags) arrays, as the tables read them
+def _shaped(values):
+    return st.one_of(values, values.map(np.array),
+                     arrays(float, st.tuples(st.integers(0, 40)), elements=values),
+                     arrays(float, st.tuples(st.integers(1, 30), st.integers(1, 9)),
+                            elements=values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratio=st.floats(0.02, 3.98), offsets=_shaped(st.floats(-6.0, 60.0) | st.just(0.0)))
+def test_profile_matches_its_reference_bit_for_bit(ratio, offsets):
+    # tau before and after tau_c, exactly at it, and negative retarded times
+    prof = memory.optimal_profile(ratio)
+    tau = prof.tau_c + offsets
+    if isinstance(offsets, np.ndarray) and offsets.ndim == 0:
+        tau = np.array(tau)  # a 0-d array plus a float is a numpy scalar
+    before = np.copy(tau) if isinstance(tau, np.ndarray) else tau
+    assert _same(prof.coupling(tau), ref.coupling(prof, tau))
+    assert _same(prof.theta(tau), ref.theta(prof, tau))
+    assert _same(tau, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kappa=_shaped(st.floats(0.0, 4.0)))
+def test_phase_from_coupling_matches_its_reference_bit_for_bit(kappa):
+    before = np.copy(kappa) if isinstance(kappa, np.ndarray) else kappa
+    assert _same(memory.phase_from_coupling(kappa), ref.phase_from_coupling(kappa))
+    assert _same(kappa, before)  # the argument is copied, never written
+
+
+# 2e-12 outside [-1, 1] in the arccos argument kappa / 2 - 1
+@pytest.mark.parametrize("kappa", [4.0 + 4e-12, -4e-12, np.array([[2.0, 4.0 + 4e-12]]),
+                                   np.array([0.0, -4e-12, 4.0])])
+def test_phase_from_coupling_refuses_just_outside_its_slack(kappa):
+    with pytest.raises(ProfileOutOfRange):
+        memory.phase_from_coupling(kappa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40), lags=st.integers(1, 7),
+       h=st.floats(1e-4, 8e-3))
+def test_rk4_weights_match_their_reference_bit_for_bit(seed, steps, lags, h):
+    rng = np.random.default_rng(seed)
+    shape = (2 * steps + 1, 1, lags)
+    c = -2.0 * rng.random(shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    before = c.copy()
+    for got, want in zip(memory._rk4_weights(c, h), ref.rk4_weights(c, h)):
+        assert _same(got, want)
+    assert _same(c, before)
 
 
 # --- discretization -----------------------------------------------------------------
@@ -391,24 +450,42 @@ def test_chunking_leaves_runs_unchanged(monkeypatch, run, blocks):
 
 
 def test_lag_grid_holds_one_lean_chunk():
-    # a grid chunk keeps only what its blocks read, one chunk at a time, and
-    # its blocks reuse one factor buffer: the tables stay far below the
-    # chunk budget over the five chunks of this run
-    cfg = config(kappa_i=2 * math.pi, delta_f=60 * NS, horizon=5.0)
+    # a grid chunk is built in place and keeps only what its blocks read, one
+    # chunk at a time, and its blocks reuse one factor and one tap buffer, so
+    # over many chunks the peak stays within the ring, those buffers and a
+    # quarter of the chunk budget.  Measured at the 4 MiB budget: 2.50 MiB on
+    # 31 x 31 and 4.91 MiB on 61 x 61, 0.86 and 0.60 MiB (0.21 and 0.15 of the
+    # budget) over ring and buffers, so the bound leaves 0.14 and 0.40 MiB
     prof = memory.optimal_profile(1 / 3)
-    dm, dc = np.linspace(0.0, 60.0, 31) * NS, np.linspace(-60.0, 0.0, 31) * NS
-    cells = dm.size * dc.size
-    h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
-    block = memory._block_length(cells, n_sub)
-    assert memory._ode_step_count(cfg.horizon, h) > 4 * memory._chunk_length((31, 31), block)
-    ring = 16 * cells * (n_sub + block + 4)
-    tracemalloc.start()
-    try:
-        memory.optimize_delays(cfg, prof, dm, dc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < ring + memory._CHUNK_BYTES / 2
+    for side, horizon in ((31, 5.0), (61, 1.0)):
+        cfg = config(kappa_i=2 * math.pi, delta_f=60 * NS, horizon=horizon)
+        dm, dc = np.linspace(0.0, 60.0, side) * NS, np.linspace(-60.0, 0.0, side) * NS
+        cells = side * side
+        h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
+        block = memory._block_length(cells, n_sub)
+        chunk = memory._chunk_length((side, side), block)
+        assert memory._ode_step_count(cfg.horizon, h) > 4 * chunk
+        ring = 16 * cells * (n_sub + block + 4)
+        buffers = 16 * cells * (4 * block + block + 3)  # Q's factors, the tap window
+        tracemalloc.start()
+        try:
+            memory.optimize_delays(cfg, prof, dm, dc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ring + buffers + memory._CHUNK_BYTES / 4
+
+
+def test_chunk_budget_leaves_the_lag_grid_bitwise_equal(monkeypatch):
+    # 61 x 61 cells over 5.5 chunks of the former 16 MiB budget, 22 of today's
+    cfg = config(kappa_i=2 * math.pi, delta_f=60 * NS, horizon=2.0)
+    prof = memory.optimal_profile(1 / 3)
+    dm, dc = np.arange(0.0, 61.0) * NS, np.arange(-60.0, 1.0) * NS
+    want = memory.optimize_delays(cfg, prof, dm, dc).fidelity_grid
+    monkeypatch.setattr(memory, "_CHUNK_BYTES", 1 << 24)
+    assert memory._chunk_length((61, 61), 2) == 184
+    got = memory.optimize_delays(cfg, prof, dm, dc).fidelity_grid
+    assert _same(got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -465,7 +542,7 @@ def test_work_budget_refuses_before_integrating(monkeypatch):
 
     monkeypatch.setattr(memory._RetardedTables, "load", no_tables)
     monkeypatch.setattr(memory._FreeTables, "load", no_tables)
-    # a 40 x 40 grid takes a 16 MiB table chunk besides its 1.6 MiB ring
+    # a 40 x 40 grid takes a 4 MiB table chunk besides its 1.6 MiB ring
     large = np.linspace(0.0, 39.0, 40) * NS
     with pytest.raises(DomainError, match="budget"):
         memory.optimize_delays(cfg, prof, large, large - 40 * NS)
@@ -562,8 +639,9 @@ def test_oracle_refuses_bins_over_the_work_budget(monkeypatch, budget, bin_width
         memory.single_excitation_oracle(config(), unread, bin_width)
 
 
-# the horizon is 25: a wider bin leaves at most one bin, or none, and F reads about 0
-@pytest.mark.parametrize("bin_width", [0.0, -1e-4, math.nan, math.inf, 30.0, 100.0])
+# the horizon is 25: a wider bin leaves at most one bin, or none, and F reads
+# about 0; a bin that does not divide it would end the run off the horizon
+@pytest.mark.parametrize("bin_width", [0.0, -1e-4, math.nan, math.inf, 30.0, 100.0, 0.3, 7e-4])
 def test_oracle_refuses_bad_bin_width(bin_width):
     with pytest.raises(DomainError, match="bin width"):
         memory.single_excitation_oracle(config(), memory.optimal_profile(1 / 3), bin_width)
