@@ -27,13 +27,13 @@ P depends only on time and the detuning lag, Q on the input and the delayed
 history.  The coefficient tables hold the decay c and the known forcing (the
 input and its echo, without the history) one chunk of steps at a time, sized
 from a byte budget so that they do not grow with the horizon; a chunk's
-tables are dropped before the next chunk's are built.  A chunk's tables,
-and the profile values they come from, are built in place, and a grid drops
-each half-step table once it is folded into a kept one, so building a chunk
-takes little beyond what it keeps.  The budget is 4 MiB, where the 61 x 61
+tables are dropped before the next chunk's are built.  A chunk's half-step
+tables, and the profile values they come from, are built in place, and a
+grid drops each of them once it is folded into a kept one, so building a
+chunk takes little beyond what it keeps.  The budget is 4 MiB, where the 61 x 61
 scan runs as fast as at 16 MiB and a smaller one made it slower.  Without a
-delay that is the whole equation, and the integrator maps it to (P, Q)
-itself.  With one, the step divides the round trip into n_sub steps, so the
+delay that is the whole equation, and its (P, Q) follows from it directly.
+With one, the step divides the round trip into n_sub steps, so the
 retarded input at any half-step is the direct input 2 n_sub half-steps
 earlier: one input table serves both, on a single cell and on a lag grid.  A
 block never reaches past n_sub - 1 steps, so the history it needs is already
@@ -56,16 +56,18 @@ then builds Q; taps that wrap the ring are copied into one window buffer of
 the run: a block step allocates no array.  In the zero-lag limit the
 mirror term folds into P, which is then full-grid.
 
-A single cell solves each block as one prefix scan: with L the running
-product of P over the block, its states are L (a0 + cumsum(Q / L)), written
-straight into the ring.  Its block is 2048 steps without a delay (one
-default table chunk) and min(n_sub - 1, 2048) steps with one, whatever the
-chunk size, and is cut short before its own |L| leaves e^(+-600), so that
-Q / L and the states stay finite; one pass over a chunk's P finds the blocks
-that need the cut.  A lag grid instead loops over the steps of a block, one
-full-grid multiply-add each, and its block is min(n_sub - 1, 256,
-max(1, 8192 // cells)) steps long, cells the size of the grid, so that a
-block's full-grid arrays stay in cache.
+Every run goes through one block loop: the tables give each block its
+(P, Q), and only the block's solve depends on the shape.  A single cell
+solves each block as one prefix scan: with L the running product of P over
+the block, its states are L (a0 + cumsum(Q / L)), written straight into the
+ring.  Its block is 2048 steps without a delay (one default table chunk) and
+min(n_sub - 1, 2048) steps with one, whatever the chunk size.  A chunk whose
+largest |log P| times that block passes 600 is scanned in blocks of
+600 / max |log P| steps instead, so that |L| stays within e^(+-600) and
+Q / L and the states stay finite.  A lag grid instead loops over the steps of
+a block, one full-grid multiply-add each, and its block is min(n_sub - 1,
+256, max(1, 8192 // cells)) steps long, cells the size of the grid, so that
+a block's full-grid arrays stay in cache.
 
 A single cell's ring holds the whole run, its trajectory, from which its
 energy bookkeeping is summed once per chunk.  A run whose ring and chunk
@@ -413,7 +415,10 @@ class DelayScan:
 def _ode_step_count(horizon: float, h: float) -> int:
     if h < _MIN_STEP:
         raise IntegrationError(f"integration step underflow: h = {h:.3g}")
-    return int(math.ceil(horizon / h - 1e-9))
+    steps = horizon / h - 1e-9
+    if not math.isfinite(steps):
+        raise DomainError(f"horizon {horizon:.3g} over the step {h:.3g} overflows the step count")
+    return int(math.ceil(steps))
 
 
 def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
@@ -436,16 +441,18 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 # Both builders describe the linear equation dA/dtau = c A - f on the
 # half-step grid tau = k h / 2 that the RK4 stages visit, one chunk of steps
 # at a time: `load(k0, k1)` replaces the last chunk's tables with those of
-# half-steps k0..k1, built in place; the half-step sin(theta), c, mirror phase
-# and f that a grid folds into its kept tables are dropped as soon as they
-# are.  Without a delay (`n_sub == 0`) they hold `coef` (c)
-# and `known` (f without the delayed history), the whole equation, and
-# `_integrate` steps it itself.  Delayed tables hold P (`p`) and, for Q, a
-# single cell's the series `q`, `w_a`, `w_b` and `w_c` over the chunk's
-# steps, a grid's only the stage tables `u` (known f) and `e` (mirror phase)
-# and the RK4 weights `beta`, from which `step_map(s, taps)` forms the
-# (P, Q) of the block on the chunk's half-step slice s in buffers that every
-# block reuses.  The energy bookkeeping of a one-cell run reads `coef`,
+# half-steps k0..k1; the half-step sin(theta), c, mirror phase and f that a
+# grid folds into its kept tables are dropped as soon as they are.
+# `step_map(b, taps)` gives the (P, Q) of the block on the chunk's step
+# slice b, whose history taps are `taps` (None without a delay).  Without a
+# delay (`n_sub == 0`) the tables hold `coef` (c) and `known` (f without the
+# delayed history), the whole equation; a single cell's map its whole chunk
+# to 1-D P and Q in `load`, a grid's each block's half-steps.  Delayed tables
+# hold P (`p`) and, for Q, a single cell's the 1-D series `q`, `w_a`, `w_b`
+# and `w_c` over the chunk's steps, which the tap sum turns into Q, a grid's
+# only the stage tables `u` (known f) and `e` (mirror phase) and the RK4
+# weights `beta`, whose products form Q in buffers that every block reuses.
+# The energy bookkeeping of a one-cell run reads `coef`,
 # `forcing(taps)`, f over the chunk, and `output(s, f, y)`, the outgoing
 # field of a stage with forcing f and state y; only a single cell's tables
 # keep what those read.
@@ -465,6 +472,10 @@ class _FreeTables:
         self.coef = -0.5 * (4.0 * self.chalf**2 + self.ki)
         self.pump = np.sqrt(self.rho) * np.exp(-0.5 * self.rho * tg)
         self.known = 2.0 * self.chalf * self.pump
+        self.p, self.q = _step_map(self.coef, self.known, self.h)
+
+    def step_map(self, b, taps):
+        return self.p[b], self.q[b]
 
     def output(self, s, f, y):
         return self.pump[s] + 2.0 * self.chalf[s] * y
@@ -505,9 +516,9 @@ class _RetardedTables:
 
     Per-time tables carry two trailing unit axes, the dc tables a unit dm
     axis and the dm tables a trailing unit dc axis, so that every block
-    broadcasts to (steps, len(dm), len(dc)).  Only the factors of Q differ
-    by shape: 1-D series for a single cell, which `_integrate` scans, and
-    for a grid the stage tables and RK4 weights whose outer products
+    broadcasts to (steps, len(dm), len(dc)).  Only P and the factors of Q
+    differ by shape: 1-D series for a single cell, which `_integrate` scans,
+    and for a grid the stage tables and RK4 weights whose outer products
     `step_map` forms one block at a time.
     """
 
@@ -568,13 +579,16 @@ class _RetardedTables:
             self.e_mir, self.drive, self.e_dir = e_mir, drive, e_dir
         if not self.n_sub:
             # zero-lag limit: the delayed state is the stage state, so e_mir
-            # folds into a full-grid c
+            # folds into a full-grid c; one cell maps its whole chunk at once
             self.coef, self.known = coef - e_mir, known
+            if self.cell:
+                self.p, self.q = (x.reshape(-1) for x in _step_map(self.coef, known, h))
             return
         if self.cell:
-            # one cell: the known part of Q and the weights of its history
+            # one cell: P, the known part of Q and the weights of its history
             # taps as 1-D series over the chunk's steps (the rows of _Q_ROWS)
             self.coef, self.known = coef, known
+            self.p = self.p.reshape(-1)
             b0, b1, u, e = (x.reshape(-1) for x in (beta0, beta1, known, e_mir))
             e1 = b1 * e[1::2]
             self.q = -(b0 * u[:-1:2] + b1 * u[1::2] + h / 6.0 * u[2::2])
@@ -587,8 +601,17 @@ class _RetardedTables:
         known = None
         self.e = _stages(e_mir[:, :, 0])
 
-    def step_map(self, s, taps):
-        b = slice(s.start // 2, s.stop // 2)
+    def step_map(self, b, taps):
+        if self.cell:
+            q = self.q[b]
+            if self.n_sub:
+                # each block's slice of the chunk series is read once, so the
+                # tap sum builds Q in it
+                q = _tap_sum(q, self.w_a[b], self.w_b[b], self.w_c[b], taps)
+            return self.p[b], q
+        if not self.n_sub:
+            s = slice(2 * b.start, 2 * b.stop + 1)
+            return _step_map(self.coef[s], self.known[s], self.h)
         nb = b.stop - b.start
         if self.rows is None or self.rows.shape[1] < nb:
             # one pair of buffers for the run: the first block is its longest
@@ -681,46 +704,14 @@ def _chunk_length(shape: tuple, block: int) -> int:
 
 
 def _rk4_weights(c: np.ndarray, h: float):
-    """P, beta0 and beta1 of each RK4 step from c on its 2 steps + 1 half-steps:
-
-        half = 1 + 0.5 hc0,  g = 2 + hc2,
-        P = 1 + (hc0 + 2 hc1 half + g hc1 (1 + 0.5 hc1 half) + hc2) / 6,
-        beta0 = h/6 (1 + hc1 + 0.25 g hc1 hc1),  beta1 = h/6 (2 + g (1 + 0.5 hc1)),
-
-    with hc = h c at a step's three stages, in seven arrays of the step count
-    reused in place.  Each product is taken left to right with its factors
-    in the order written, and a product of two arrays goes to a third: numpy's
-    complex multiply is not commutative bit for bit, and one that writes over
-    a one-element factor takes another loop.
-    """
+    """P, beta0 and beta1 of each RK4 step from c on its 2 steps + 1 half-steps,
+    with hc = h c at a step's three stages."""
     hc0, hc1, hc2 = h * c[:-1:2], h * c[1::2], h * c[2::2]
-    half = np.multiply(hc0, 0.5)
-    half += 1.0
-    t = np.multiply(hc1, 2.0)
-    u = np.multiply(t, half)
-    p = hc0
-    p += u
-    g = np.add(hc2, 2.0)
-    np.multiply(hc1, 0.5, out=t)
-    np.multiply(t, half, out=u)
-    u += 1.0
-    np.multiply(g, hc1, out=t)
-    np.multiply(t, u, out=half)
-    p += half
-    p += hc2
-    p /= 6.0
-    p += 1.0
-    np.multiply(g, 0.25, out=t)
-    np.multiply(t, hc1, out=u)
-    np.multiply(u, hc1, out=t)
-    beta0 = np.add(hc1, 1.0, out=u)
-    beta0 += t
-    beta0 *= h / 6.0
-    np.multiply(hc1, 0.5, out=t)
-    t += 1.0
-    beta1 = np.multiply(g, t, out=hc1)
-    beta1 += 2.0
-    beta1 *= h / 6.0
+    half = 1.0 + 0.5 * hc0
+    p = 1.0 + (hc0 + 2.0 * hc1 * half + (2.0 + hc2) * hc1 * (1.0 + 0.5 * hc1 * half)
+               + hc2) / 6.0
+    beta0 = h / 6.0 * (1.0 + hc1 + 0.25 * (2.0 + hc2) * hc1 * hc1)
+    beta1 = h / 6.0 * (2.0 + (2.0 + hc2) * (1.0 + 0.5 * hc1))
     return p, beta0, beta1
 
 
@@ -766,28 +757,12 @@ def _taps(ring, i: int, nb: int, n_sub: int, now: int, window):
     return np.take(ring, range(oldest, newest + 1), axis=0, out=window[:nb + 3], mode="wrap")
 
 
-def _scan_blocks(p: np.ndarray, block: int) -> list:
-    """(start, stop) of each scan block over a chunk's P: the chunk cut every
-    `block` steps, and cut again where a block's running product |L| would
-    leave e^(+-_SCAN_LOG_L).
-
-    One pass over the chunk finds the blocks whose |L| stays inside the
-    bound; only the others are cut, greedily, each piece's log |L| summed
-    from its own start.
-    """
-    n = len(p)
-    log_p = np.log(np.abs(p))
-    rows = log_p if n % block == 0 else np.concatenate((log_p, np.zeros(-n % block)))
-    inside = np.abs(rows.reshape(-1, block).cumsum(axis=1)).max(axis=1) <= _SCAN_LOG_L
-    bounds = []
-    for k, ok in zip(range(0, n, block), inside.tolist()):
-        end = min(k + block, n)
-        while k < end:
-            out = () if ok else np.flatnonzero(np.abs(np.cumsum(log_p[k:end])) > _SCAN_LOG_L)
-            m = k + max(1, out[0]) if len(out) else end
-            bounds.append((k, m))
-            k = m
-    return bounds
+def _scan_length(p: np.ndarray, block: int) -> int:
+    """Steps per scan block over a chunk's P: `block`, or fewer where a block's
+    running product |L| could leave e^(+-_SCAN_LOG_L).  A NaN in P keeps
+    `block`, and its run ends in an IntegrationError."""
+    top = np.abs(np.log(np.abs(p))).max()
+    return max(1, int(_SCAN_LOG_L / top)) if top * block > _SCAN_LOG_L else block
 
 
 def _scan(p: np.ndarray, q: np.ndarray, a0) -> np.ndarray:
@@ -795,27 +770,6 @@ def _scan(p: np.ndarray, q: np.ndarray, a0) -> np.ndarray:
     prefix scan: L (a0 + cumsum(q / L)) with L the running product of p."""
     lp = p.cumprod()
     return lp * (a0 + (q / lp).cumsum())
-
-
-def _scan_cell(tables, ring, i0: int, i1: int, block: int, window) -> None:
-    """Steps i0 .. i1 of a one-cell run as block prefix scans into its ring;
-    `window` is the run's buffer for taps that wrap the ring."""
-    n_sub = tables.n_sub
-    # one cell: one state per slot, a view
-    states, window = ring.reshape(-1), window.reshape(-1)
-    if n_sub:
-        p, q, w_a, w_b, w_c = tables.p.reshape(-1), tables.q, tables.w_a, tables.w_b, tables.w_c
-    else:
-        p, q = (x.reshape(-1) for x in _step_map(tables.coef, tables.known, tables.h))
-    for k, m in _scan_blocks(p, block):
-        i, nb = i0 + k, m - k
-        q_b = q[k:m]
-        if n_sub:
-            # Q reads the history, stored up to step i; each block's slice of
-            # the chunk series is read once, so the tap sum builds Q in it
-            q_b = _tap_sum(q_b, w_a[k:m], w_b[k:m], w_c[k:m],
-                           _taps(states, i, nb, n_sub, i, window))
-        states[i + 1:i0 + m + 1] = _scan(p[k:m], q_b, states[i])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -833,18 +787,34 @@ def _integrate(tables, n: int):
     chunk = _chunk_length(shape, block)
     scalar = cells == 1
     slots = n_sub + block + 4 + (n if scalar else 0)
-    _check_work(f"{cells} cells x {n} steps", min(chunk, n) * _step_bytes(shape), cells, slots)
+    _check_work(f"{cells} cells x {n:.3g} steps", min(chunk, n) * _step_bytes(shape),
+                cells, slots)
     # zeroed, so history before tau = 0 (the slots past the stored steps) reads 0
     ring = np.zeros((slots,) + shape, dtype=complex)
     # the taps of a block, or of a one-cell chunk, where they wrap the ring
     window = np.empty(((chunk if scalar else block) + 3,) + shape, dtype=complex)
+    # one cell: one state per slot, so its blocks read and write 1-D views
+    states, block_window = (ring.reshape(-1), window.reshape(-1)) if scalar else (ring, window)
     a = ring[0]
     refl = intr = 0.0
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         tables.load(2 * i0, 2 * i1)
+        step = _scan_length(tables.p, block) if scalar else block
+        for i in range(i0, i1, step):
+            nb = min(step, i1 - i)
+            # Q reads the history, stored up to step i
+            taps = _taps(states, i, nb, n_sub, i, block_window) if n_sub else None
+            p, q = tables.step_map(slice(i - i0, i - i0 + nb), taps)
+            if scalar:
+                # one prefix scan, straight into the ring
+                states[i + 1:i + nb + 1] = _scan(p, q, states[i])
+                continue
+            # a grid steps through the block; each state goes straight into its ring slot
+            for k, (pk, qk) in enumerate(zip(p, q), i + 1):
+                a = np.multiply(pk, a, out=ring[k % slots])
+                a += qk
         if scalar:
-            _scan_cell(tables, ring, i0, i1, block, window)
             f = (tables.forcing(_taps(ring, i0, i1 - i0, n_sub, i1, window)) if n_sub
                  else tables.known)
             # a real forcing (the delay-free tables) keeps the trajectory real
@@ -852,16 +822,6 @@ def _integrate(tables, n: int):
             chunk_refl, chunk_intr = _quadratures(tables, f, y1)
             refl += chunk_refl
             intr += chunk_intr
-            continue
-        for i in range(i0, i1, block):
-            nb = min(block, i1 - i)
-            s = slice(2 * (i - i0), 2 * (i - i0 + nb) + 1)
-            p, q = (tables.step_map(s, _taps(ring, i, nb, n_sub, i, window)) if n_sub
-                    else _step_map(tables.coef[s], tables.known[s], tables.h))
-            # a grid steps through the block; each state goes straight into its ring slot
-            for k, (pk, qk) in enumerate(zip(p, q), i + 1):
-                a = np.multiply(pk, a, out=ring[k % slots])
-                a += qk
     fidelity = np.abs(ring[n % slots]) ** 2
     if not (np.all(np.isfinite(fidelity)) and math.isfinite(refl) and math.isfinite(intr)):
         raise IntegrationError("non-finite fidelity or energy; reduce the step size")

@@ -1,8 +1,9 @@
 """Reference expressions of the optimal profile and of the RK4 step weights.
 
-`memory.OptimalProfile`, `memory.phase_from_coupling` and
-`memory._rk4_weights` evaluate the same expressions in place, in the same
-operation order; the tests require them to agree with these bit for bit.
+`memory.OptimalProfile` and `memory.phase_from_coupling` evaluate the same
+expressions in place, in the same operation order, and `memory._rk4_weights`
+evaluates them as written here; the tests require them to agree with these
+bit for bit.
 """
 
 import numpy as np

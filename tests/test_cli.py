@@ -481,6 +481,11 @@ BAD_INPUTS = {
     "strain-huge-int": (None, ["tensor", "energy", "--strain", "[%s,0,0,0,0,0]" % HUGE]),
     "config-horizon-inf": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e400}',
                            ["memory", "simulate", "--config"]),
+    # finite, but its step count is not
+    "config-horizon-steps-overflow": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e308}',
+                                      ["memory", "simulate", "--config"]),
+    "grid-horizon-steps-overflow": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e308}',
+                                    ["memory", "optimize", "--config"]),
     "config-rate-nan": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "kappa_i_hz": NaN}',
                         ["memory", "simulate", "--config"]),
     "config-horizon-below-critical": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 0.2}',
@@ -709,14 +714,16 @@ def test_plan_float_port_exits_2(tmp_path, capsys, port):
 @pytest.mark.parametrize("delay", [{}, {"delta_f_ns": 60}], ids=["free", "delayed"])
 def test_overflowing_fidelity_exits_1(tmp_path, capsys, verb, delay):
     # kappa_i / kappa_e = 3333 puts the decay rate times the default step, about
-    # 3.3, past RK4's stability limit of 2.79: |A|^2 and the energies overflow
-    cfg = config_json(tmp_path, kappa_i_hz=1e9, horizon=1.5, **delay)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, ["memory", *verb, "--config", cfg])
-    assert code == 1 and out == ""
-    assert err.startswith("error: IntegrationError") and err.count("\n") == 1
-    assert [str(w.message) for w in caught] == []
+    # 3.3, past RK4's stability limit of 2.79: |A|^2 and the energies overflow.
+    # At 1e300 Hz the step map P itself is not finite.
+    for kappa_i_hz in (1e9, 1e300):
+        cfg = config_json(tmp_path, kappa_i_hz=kappa_i_hz, horizon=1.5, **delay)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, ["memory", *verb, "--config", cfg])
+        assert code == 1 and out == ""
+        assert err.startswith("error: IntegrationError") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
 
 def test_accepted_large_strain_warns_once(capsys):

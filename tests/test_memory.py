@@ -500,12 +500,12 @@ def test_block_scan_matches_the_step_recurrence(seed, log_p_min, n, block):
         want.append(pk * want[-1] + qk)
     got = np.empty(n + 1, dtype=complex)
     got[0] = want[0]
-    bounds = memory._scan_blocks(p, block)
-    assert [k for k, _ in bounds] == [0] + [m for _, m in bounds[:-1]]
-    assert bounds[-1][1] == n
-    for k, m in bounds:
+    step = memory._scan_length(p, block)
+    assert 1 <= step <= block
+    for k in range(0, n, step):
+        m = min(k + step, n)
         log_l = np.cumsum(np.log(np.abs(p[k:m])))
-        assert m - k <= block and np.all(np.abs(log_l) <= memory._SCAN_LOG_L)
+        assert np.all(np.abs(log_l) <= memory._SCAN_LOG_L)
         got[k + 1:m + 1] = memory._scan(p[k:m], q[k:m], got[k])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
