@@ -16,7 +16,11 @@ elements; :func:`mzi_unitary` is its one-element case.
 phase screen on the inputs followed by a triangular mesh of N(N-1)/2 such
 blocks on adjacent ports, held as arrays of top port, theta and phi;
 :func:`mesh_apply` runs a vector through a plan.  Plans serialize to JSON
-with 0-based top-port indices.
+with 0-based top-port indices.  This module alone names an element's JSON
+keys (``i``, ``theta``, ``phi``): :meth:`MeshPlan.columns` hands out the
+three arrays under them, which ``pmmi decompose`` writes without a dict per
+element, and :meth:`MeshPlan.from_json` folds each element object into a
+tuple as it is parsed.
 
 Both do their arithmetic on whole arrays, not one element at a time.  The
 elimination is a wavefront: the pivots that act on disjoint row pairs are
@@ -37,12 +41,13 @@ import cmath
 import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsoncheck import NUMBER, OBJECT, REQUIRED, json_list, json_numbers, json_object
+from ._jsoncheck import NUMBER, REQUIRED, json_list, json_numbers, json_object
 from .errors import DimensionMismatch, DomainError, NotUnitary, OutOfRange
 
 __all__ = [
@@ -64,6 +69,7 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 _PLAN = {"screen": REQUIRED, "elements": REQUIRED, "reconstruction_error": None}
 _ELEMENT = {"i": REQUIRED, "theta": REQUIRED, "phi": REQUIRED}
+_ELEMENT_VALUES = operator.itemgetter(*_ELEMENT)
 
 
 def mzi_unitary(theta: float, phi: float) -> np.ndarray:
@@ -168,13 +174,16 @@ class MeshPlan:
         """Dense unitary realized by the plan."""
         return mesh_apply(self, np.eye(self.n_modes, dtype=complex))
 
+    def columns(self) -> dict:
+        """The element arrays under their JSON keys: ``i`` (top port), ``theta``
+        and ``phi``."""
+        return dict(zip(_ELEMENT, (self.top, self.theta, self.phi)))
+
     def to_dict(self) -> dict:
         """The plan as the JSON document of :meth:`to_json`."""
-        return {
-            "screen": self.screen.tolist(),
-            "elements": [{"i": i, "theta": t, "phi": p} for i, t, p in
-                         zip(self.top.tolist(), self.theta.tolist(), self.phi.tolist())],
-        }
+        rows = zip(*(column.tolist() for column in self.columns().values()))
+        return {"screen": self.screen.tolist(),
+                "elements": [dict(zip(_ELEMENT, row)) for row in rows]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -183,23 +192,44 @@ class MeshPlan:
     def from_json(cls, text: str) -> "MeshPlan":
         """Read :meth:`to_json` or ``pmmi decompose`` text.  Every value must be a JSON number, and
         ``"i"`` an integer (a float port, or one too large for a float, is a
-        :class:`DimensionMismatch`)."""
-        data = json_object(json.loads(text), _PLAN, "mesh plan")
-        items = json_list(data["elements"], OBJECT, "mesh plan elements")
-        # one bulk pass: three keys each, all drawn from _ELEMENT, means exactly its keys
-        if not ({*map(len, items)} <= {len(_ELEMENT)} and set().union(*items) <= _ELEMENT.keys()):
-            json_object(next(e for e in items if e.keys() != _ELEMENT.keys()),
-                        _ELEMENT, "mesh plan element")
-        top, theta, phi = ([e[key] for e in items] for key in _ELEMENT)
+        :class:`DimensionMismatch`).
+
+        Each element object is folded into its ``(i, theta, phi)`` tuple as it
+        is parsed, so no dict per element outlives the parse; any other object,
+        an element with other keys among them, stays a dict.
+        """
+        data = json.loads(text, object_hook=_fold_element)
+        if type(data) is tuple:  # a top level holding exactly the element keys
+            data = dict(zip(_ELEMENT, data))
+        data = json_object(data, _PLAN, "mesh plan")
+        items = data["elements"]
+        kinds = {*map(type, items)} if type(items) is list else None
+        if kinds is None or not kinds <= {tuple, dict}:
+            raise DomainError("mesh plan elements must be JSON objects in a list")
+        if dict in kinds:  # an element with other keys than exactly those of _ELEMENT
+            json_object(next(e for e in items if type(e) is dict), _ELEMENT, "mesh plan element")
+        top, theta, phi = map(list, zip(*items)) if items else ([], [], [])
         if not {*map(type, top)} <= NUMBER:  # never made floats: no float-range check
             raise DomainError("mesh plan 'i' values must be JSON numbers in a list")
         for key, values in (("screen", data["screen"]), ("theta", theta), ("phi", phi)):
             json_list(values, NUMBER, f"mesh plan {key} values")
-        if data["reconstruction_error"] is not None:
-            json_numbers({"reconstruction_error": data["reconstruction_error"]}, "mesh plan")
-            if not math.isfinite(data["reconstruction_error"]):
+        err = data["reconstruction_error"]
+        if err is not None:
+            if type(err) not in NUMBER:  # read again unfolded: the error shows it as written
+                err = json.loads(text)["reconstruction_error"]
+            json_numbers({"reconstruction_error": err}, "mesh plan")
+            if not math.isfinite(err):
                 raise DomainError("mesh plan reconstruction_error must be finite")
         return cls(data["screen"], top, theta, phi)
+
+
+def _fold_element(obj: dict):
+    """A parsed JSON object: an element's ``(i, theta, phi)``, other objects as is."""
+    try:
+        folded = _ELEMENT_VALUES(obj)
+    except KeyError:  # a key of _ELEMENT is missing
+        return obj
+    return folded if len(obj) == len(_ELEMENT) else obj
 
 
 def reck_decompose(u) -> MeshPlan:

@@ -13,10 +13,14 @@ JSON is written as ``json.dump(obj, indent=2, sort_keys=True)`` would write
 it, byte for byte, by a streamed writer (:func:`_write_json`).  The writer
 lays out by hand only the indentation of non-empty objects and arrays, which
 the C encoder cannot produce (the indenting encoder is the pure-Python one);
-every scalar, key and empty container, each list of numbers and each run of
-flat numeric records is encoded by the C encoder.  A CSV table is formatted
-``%.12g`` from one template per run of rows (:func:`_write_csv`).  The
-``json`` module reads every input file.
+every scalar, key and empty container and each list of numbers is encoded
+by the C encoder.  A mesh plan's elements reach the writer as the plan's
+columns (a :class:`_Records`), never as a dict per element: they are encoded
+`_CHUNK` records per C-encoder call and laid out by one row template, and a
+long laid-out text goes to the ``--output`` file in newline-aligned pieces
+(:func:`_write_dedented`), not as a second full copy.  A CSV table is
+formatted ``%.12g`` from one template per run of rows (:func:`_write_csv`).
+The ``json`` module reads every input file.
 
 Frequency-like inputs (kappa_e, r, detunings, band shifts) are ordinary
 frequencies in Hz and are multiplied by 2*pi internally; delays are in ns.
@@ -101,8 +105,17 @@ def _lag_grids(dm_text: str, dc_text: str) -> tuple[np.ndarray, np.ndarray]:
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode   # compact, C-accelerated
 _LEAF_TYPES = frozenset((int, float, bool, type(None)))
-_CHUNK = 256  # records per write in a list of flat records
+_CHUNK = 256  # records per C-encoder call of a `_Records` list
+_PIECE = 1 << 16  # characters per write of a laid-out text to a file
 _CSV_ROWS = 512  # rows per write of a CSV table
+
+
+class _Records:
+    """A list of flat numeric records held as its columns: `columns` maps each
+    key to a 1-d numpy array, one entry per record."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
 
 
 def _write_json(write, obj, level: int = 0) -> None:
@@ -111,14 +124,24 @@ def _write_json(write, obj, level: int = 0) -> None:
     The bytes are the same.  Only the indentation of a non-empty dict, list
     or tuple is written here, and a `_Laid` text as it is; every other text (a
     scalar, ``{}``, ``[]``, a non-str key) comes from the C encoder, which
-    also refuses an unsupported object.  A list of numbers, and each chunk of
-    `_CHUNK` records that share one key set and hold only numbers, goes
-    through the C encoder in one call and is laid out by string replacement
-    or a row template: no string occurs in that text, so its ", " separators
-    are exactly the item separators.
+    also refuses an unsupported object.  A list of numbers goes through the C
+    encoder in one call, laid out by string replacement, and a `_Records` is
+    written as its list of records {key: column[k]}.
     """
-    if isinstance(obj, (list, tuple)) and obj:
-        _write_list(write, obj, level)
+    if type(obj) is _Records:
+        _write_records(write, obj.columns, level)
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + "]"
+        if set(map(type, obj)) <= _LEAF_TYPES:
+            write("[" + inner + _ENCODE(obj)[1:-1].replace(", ", "," + inner) + close)
+            return
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write_json(write, item, level + 1)
+            sep = "," + inner
+        write(close)
     elif isinstance(obj, dict) and obj:
         inner = "\n" + "  " * (level + 1)
         sep = "{" + inner
@@ -146,47 +169,46 @@ def _layout(value, level: int) -> _Laid:
     return _Laid("".join(parts))
 
 
-def _write_list(write, items, level: int) -> None:
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + "]"
-    if set(map(type, items)) <= _LEAF_TYPES:
-        write("[" + inner + _ENCODE(items)[1:-1].replace(", ", "," + inner) + close)
+def _write_records(write, columns: dict, level: int) -> None:
+    """Write the records of `columns` as the list of dicts {key: column[k]},
+    `_CHUNK` records per C-encoder call, each chunk's text laid out by one row
+    template: no string occurs in that text, so its ", " separators are
+    exactly the item separators."""
+    keys = sorted(columns)
+    values = [columns[key].tolist() for key in keys]
+    n, width = len(values[0]), len(keys)
+    if not n:
+        write("[]")
         return
-    sep = "[" + inner
-    for start in range(0, len(items), _CHUNK):
-        chunk = items[start:start + _CHUNK]
-        text = _records(chunk, level + 1)
-        if text is not None:
-            write(sep + text)
-            sep = "," + inner
-            continue
-        for item in chunk:
-            write(sep)
-            _write_json(write, item, level + 1)
-            sep = "," + inner
-    write(close)
-
-
-def _records(chunk, level: int) -> str | None:
-    """Indented text of `chunk` if it is a run of flat numeric records, else None."""
-    first = chunk[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = first.keys()
-    if not (all(isinstance(k, str) for k in keys)
-            and all(type(d) is dict and d.keys() == keys for d in chunk)):
-        return None
-    keys = sorted(keys)
-    values = [d[k] for d in chunk for k in keys]
-    if not set(map(type, values)) <= _LEAF_TYPES:
-        return None
-    inner = "\n" + "  " * (level + 1)
+    inner = "\n" + "  " * (level + 2)
     row = ("{" + inner
            + ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s"
                                 for k in keys)
-           + "\n" + "  " * level + "}")
-    template = (",\n" + "  " * level).join([row] * len(chunk))
-    return template % tuple(_ENCODE(values)[1:-1].split(", "))
+           + "\n" + "  " * (level + 1) + "}")
+    sep = "[\n" + "  " * (level + 1)
+    between = ",\n" + "  " * (level + 1)
+    chunk = [None] * (width * _CHUNK)
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        del chunk[width * m:]
+        for j, column in enumerate(values):
+            chunk[j::width] = column[start:start + m]
+        write(sep + between.join([row] * m) % tuple(_ENCODE(chunk)[1:-1].split(", ")))
+        sep = between
+    write("\n" + "  " * level + "]")
+
+
+def _write_dedented(write, text: str) -> None:
+    """Write `text` one indent level up, in pieces of about `_PIECE` characters
+    that each start at a newline, so that no second full copy of a long text
+    is made (no laid-out string holds a raw newline, so every newline starts
+    an indent)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE)
+        end = len(text) if end < 0 else end
+        write(text[start:end].replace("\n  ", "\n"))
+        start = end
 
 
 def _write_csv(write, header: str, columns) -> None:
@@ -204,14 +226,13 @@ def _emit(args, result: dict, csv, t0: float) -> None:
     if args.output:
         if csv is None:
             # each value is laid out once, at its depth in the envelope; the
-            # file holds the same text one indent level up (no laid-out string
-            # holds a raw newline, so every newline starts an indent)
+            # file holds the same text one indent level up
             result = {key: _layout(value, 2) for key, value in result.items()}
         with open(args.output, "w") as fh:
             if csv is not None:
                 _write_csv(fh.write, *csv)
             else:
-                _write_json(lambda text: fh.write(text.replace("\n  ", "\n")), result, 1)
+                _write_json(lambda text: _write_dedented(fh.write, text), result, 1)
                 fh.write("\n")
         result = dict(result, output_path=args.output)
     envelope = {
@@ -329,7 +350,8 @@ def _cmd_pmmi_decompose(args):
     u = _read_unitary_csv(args.unitary)
     plan = circuits.reck_decompose(u)
     err = float(np.max(np.abs(plan.matrix() - u)))
-    return dict(plan.to_dict(), reconstruction_error=err), None
+    return {"screen": plan.screen.tolist(), "elements": _Records(plan.columns()),
+            "reconstruction_error": err}, None
 
 
 def _cmd_pmmi_apply(args):

@@ -71,7 +71,10 @@ a block's full-grid arrays stay in cache.
 
 A single cell's ring holds the whole run, its trajectory, from which its
 energy bookkeeping is summed once per chunk.  A run whose ring and chunk
-tables would pass 1 GiB is refused before anything is allocated.  The
+tables would pass 1 GiB is refused before anything is allocated; a lag
+grid's ring does not grow with the run, so a grid is also refused at the
+step count at which one of its cells would be, and a slope-capped profile
+is refused by its sample count before it is sampled.  The
 delay-free path stays real-valued.  :func:`single_excitation_oracle`
 provides an independent check of the transfer fidelity via a beam-splitter
 collision model in the single-excitation sector.
@@ -277,6 +280,8 @@ def discretize_profile(profile, slope_cap: float = 23.0,
         raise InfeasibleCap(
             f"cap {slope_cap} cannot reach pi - 0.01 within horizon {horizon}")
     dt = 0.1 * tau_c
+    samples = 2.0 + (horizon - tau_c) / dt
+    _check_work(f"{samples:.3g} profile samples of spacing {dt:.3g}", _SAMPLE_BYTES * samples)
     taus = [0.0, tau_c]
     t = tau_c
     while t < horizon:
@@ -659,6 +664,9 @@ _CHUNK_STEPS = 2048
 _LAG_TABLES = 16
 #: bytes a run may take for its ring and one chunk of tables
 _WORK_BYTES = 1 << 30
+#: bytes per sample of `discretize_profile` at its peak (98 by tracemalloc on
+#: CPython 3.11: three lists of floats and the arrays built from them)
+_SAMPLE_BYTES = 100
 #: steps per one-cell scan block without a delay: a prefix scan's length
 #: costs no Python time, so it spans a default chunk; fixed, so that the
 #: scan's block ends do not move with the chunk
@@ -692,6 +700,19 @@ def _check_work(what: str, work: float = 0, cells: int = 0, slots: int = 5) -> N
     if work > _WORK_BYTES:
         raise DomainError(f"{what} need about {work / 2**30:.3g} GiB, "
                           f"over the {_WORK_BYTES / 2**30:.3g} GiB work budget")
+
+
+def _run_size(shape: tuple, n_sub: int, n: int) -> tuple[int, int, int]:
+    """Steps per block, steps per table chunk and ring slots of an n-step run
+    over `shape`, refused when its ring and one chunk of tables pass the work
+    budget.  A one-cell ring holds the whole run."""
+    cells = math.prod(shape)
+    block = _block_length(cells, n_sub)
+    chunk = _chunk_length(shape, block)
+    slots = n_sub + block + 4 + (n if cells == 1 else 0)
+    _check_work(f"{cells} cells x {n:.3g} steps", min(chunk, n) * _step_bytes(shape),
+                cells, slots)
+    return block, chunk, slots
 
 
 def _chunk_length(shape: tuple, block: int) -> int:
@@ -783,12 +804,12 @@ def _integrate(tables, n: int):
     """
     shape, n_sub = tables.shape, tables.n_sub
     cells = math.prod(shape)
-    block = _block_length(cells, n_sub)
-    chunk = _chunk_length(shape, block)
     scalar = cells == 1
-    slots = n_sub + block + 4 + (n if scalar else 0)
-    _check_work(f"{cells} cells x {n:.3g} steps", min(chunk, n) * _step_bytes(shape),
-                cells, slots)
+    if not scalar:
+        # a grid's ring does not grow with the run, a cell's holds all of it:
+        # a grid is refused at the step count at which its cells would be
+        _run_size((1,) * len(shape), n_sub, n)
+    block, chunk, slots = _run_size(shape, n_sub, n)
     # zeroed, so history before tau = 0 (the slots past the stored steps) reads 0
     ring = np.zeros((slots,) + shape, dtype=complex)
     # the taps of a block, or of a one-cell chunk, where they wrap the ring

@@ -204,6 +204,36 @@ def test_mesh_plan_rejects_non_finite():
         cc.MeshPlan.from_json('{"screen": [0, 0], "elements": [{"i": 0, "theta": 1, "phi": NaN}]}')
 
 
+ELEMENT = '{"i": 0, "theta": 1, "phi": 0}'
+
+
+# each element object is folded into a tuple as it is parsed: every refusal
+# keeps its exception and message
+@pytest.mark.parametrize("text,error,message", [
+    (ELEMENT, DomainError, "mesh plan has unknown key 'i'"),
+    ('{"screen": [0, 0], "elements": [{"i": 0, "theta": 1, "phi": 0, "x": 1}]}',
+     DomainError, "mesh plan element has unknown key 'x'"),
+    ('{"screen": [0, 0], "elements": [%s, {"i": 0, "theta": 1}]}' % ELEMENT,
+     DomainError, "mesh plan element lacks the required key 'phi'"),
+    ('{"screen": [0, 0], "elements": [%s, 5]}' % ELEMENT,
+     DomainError, "mesh plan elements must be JSON objects in a list"),
+    ('{"screen": [0, 0], "elements": %s}' % ELEMENT,
+     DomainError, "mesh plan elements must be JSON objects in a list"),
+    ('{"screen": [0, 0], "elements": [{"i": 0.0, "theta": 1, "phi": 0}]}',
+     DimensionMismatch, "element ports must be integers in 0..0"),
+    ('{"screen": [0, 0], "elements": [{"i": 0, "theta": 1, "phi": NaN}]}',
+     DomainError, "mesh plan phi must be finite"),
+    ('{"screen": [0], "elements": [], "reconstruction_error": {"phi": 0, "i": 0, "theta": 1}}',
+     DomainError, "mesh plan 'reconstruction_error' must be a JSON number within the float "
+                  "range, got {'phi': 0, 'i': 0, 'theta': 1}"),
+], ids=["top-level-element", "element-extra-key", "element-missing-key", "element-not-object",
+        "elements-not-list", "float-port", "nan-phase", "element-as-reconstruction-error"])
+def test_mesh_plan_from_json_refusals(text, error, message):
+    with pytest.raises(error) as caught:
+        cc.MeshPlan.from_json(text)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_mesh_plan_is_read_only():
     screen, theta = np.array([0.1, 0.2, 0.3]), np.array([0.3, 2.0])
     plan = cc.MeshPlan(screen, np.array([1, 0]), theta, [-0.2, 1.1])

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import phoncirc
 from phoncirc import circuits, cli, errors, memory, slh
 from phoncirc.cli import main
 
@@ -353,6 +355,30 @@ def test_pmmi_decompose_output_is_indented_json(tmp_path, capsys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("n", [1, 2, 24, 256])
+def test_pmmi_decompose_writes_the_plan_document(tmp_path, capsys, n):
+    # the elements go from the plan's columns to the text: what is printed and
+    # written reads as json.dumps of the plan's dict form, byte for byte
+    ucsv = tmp_path / "u.csv"
+    write_unitary_csv(ucsv, circuits.haar_unitary(n, np.random.default_rng(n)))
+    u = cli._read_unitary_csv(str(ucsv))
+    plan = circuits.reck_decompose(u)
+    result = dict(plan.to_dict(), reconstruction_error=float(np.max(np.abs(plan.matrix() - u))))
+    plan_path = str(tmp_path / "plan.json")
+    for output in (None, plan_path):
+        code, out, _ = run_cli(capsys, ["pmmi", "decompose", "--unitary", str(ucsv),
+                                        *(["--output", output] if output else [])])
+        assert code == 0
+        manifest = {"command": "pmmi decompose", "version": phoncirc.__version__,
+                    "parameters": {"unitary": str(ucsv), "output": output},
+                    "wall_time_s": json.loads(out)["manifest"]["wall_time_s"]}
+        printed = result if output is None else dict(result, output_path=output)
+        assert out == json.dumps({"manifest": manifest, "result": printed},
+                                 indent=2, sort_keys=True) + "\n"
+    with open(plan_path) as fh:
+        assert fh.read() == json.dumps(result, indent=2, sort_keys=True) + "\n"
+
+
 def test_pmmi_nan_input_exits_2(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(circuits.reck_decompose(np.eye(2, dtype=complex)).to_json())
@@ -486,6 +512,13 @@ BAD_INPUTS = {
                                       ["memory", "simulate", "--config"]),
     "grid-horizon-steps-overflow": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e308}',
                                     ["memory", "optimize", "--config"]),
+    # finite, but past the work budget: a lag grid at the step count at which
+    # one of its cells is refused, a slope-capped profile by its sample count
+    "grid-horizon-steps-over-budget": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e200}',
+                                       ["memory", "optimize", "--dm-grid", "0:2:1",
+                                        "--dc-grid=-2:0:1", "--config"]),
+    "config-profile-samples-over-budget": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e200,'
+                                           ' "slope_cap": 23}', ["memory", "simulate", "--config"]),
     "config-rate-nan": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "kappa_i_hz": NaN}',
                         ["memory", "simulate", "--config"]),
     "config-horizon-below-critical": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 0.2}',
@@ -894,6 +927,23 @@ def test_json_writer_matches_json_dumps(doc):
     chunks = []
     cli._write_json(chunks.append, doc)
     assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(KEYS, min_size=1, max_size=4, unique=True),
+       n=st.one_of(st.integers(0, 4), st.integers(cli._CHUNK - 2, cli._CHUNK + 40)),
+       depth=st.integers(0, 2), data=st.data())
+def test_json_writer_lays_out_columns_as_their_records(keys, n, depth, data):
+    columns = {key: data.draw(arrays(st.sampled_from([np.int64, np.float64, np.bool_]), n))
+               for key in keys}
+    doc = cli._Records(columns)
+    lists = {key: column.tolist() for key, column in columns.items()}
+    records = [{key: lists[key][k] for key in keys} for k in range(n)]
+    for _ in range(depth):
+        doc, records = {"a": [doc]}, {"a": [records]}
+    chunks = []
+    cli._write_json(chunks.append, doc)
+    assert "".join(chunks) == json.dumps(records, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("doc", [{"a": [1, {2}]}, [{"x": 1.0, "y": {2}}], {(1, 2): 0},

@@ -217,6 +217,24 @@ def test_discretize_refuses_bad_horizon(horizon):
         memory.discretize_profile(memory.optimal_profile(1 / 3), 23.0, horizon)
 
 
+def test_discretize_refuses_samples_over_the_work_budget():
+    # sized before its sample loop: a huge finite horizon is refused unallocated,
+    # and the bytes budgeted per sample bound a run's measured peak
+    prof = memory.optimal_profile(1 / 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="work budget"):
+            memory.discretize_profile(prof, 23.0, 1e200)
+        refused = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sampled = memory.discretize_profile(prof, 23.0, 2000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused < 16 << 10
+    assert peak <= memory._SAMPLE_BYTES * sampled.tau.size
+
+
 def test_sampled_profile_validation():
     for tau, thetas, tau_c in [
         ([0.0, 1.0], [0.5, 0.2], 0.0),                    # decreasing
@@ -549,6 +567,13 @@ def test_work_budget_refuses_before_integrating(monkeypatch):
     # a single cell's ring holds its whole run: 300 000 steps, 4.6 MiB
     with pytest.raises(DomainError, match="budget"):
         memory.simulate_transfer(config(horizon=600.0), prof)
+    # a grid's ring does not: it is refused as one of its cells would be
+    long = replace(cfg, horizon=600.0)
+    with pytest.raises(DomainError, match="budget") as cell:
+        memory.simulate_with_delay(long, prof)
+    with pytest.raises(DomainError) as grid:
+        memory.optimize_delays(long, prof, small, small - 40 * NS)
+    assert str(grid.value) == str(cell.value)
 
 
 # --- the SLH loop the memory equation models -------------------------------------------------
