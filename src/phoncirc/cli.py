@@ -94,15 +94,6 @@ def _grid_ns(text: str) -> tuple[float, float, int]:
     return start, step, math.floor((stop - start) / step + 1e-9) + 1
 
 
-def _lag_grids(dm_text: str, dc_text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The mirror and detuning lag grids in ns, refused unbuilt when the
-    smallest ring of their cell count would pass the integrator's work budget."""
-    (dm0, dm_step, n_dm), (dc0, dc_step, n_dc) = _grid_ns(dm_text), _grid_ns(dc_text)
-    memory._check_work(f"lag grid --dm-grid {dm_text} x --dc-grid {dc_text}: "
-                       f"{n_dm} x {n_dc} cells", cells=n_dm * n_dc)
-    return dm0 + dm_step * np.arange(n_dm), dc0 + dc_step * np.arange(n_dc)
-
-
 _ENCODE = json.JSONEncoder(sort_keys=True).encode   # compact, C-accelerated
 _LEAF_TYPES = frozenset((int, float, bool, type(None)))
 _CHUNK = 256  # records per C-encoder call of a `_Records` list
@@ -292,14 +283,16 @@ def _profile_for(config: memory.TransferConfig):
 
 def _steps(run) -> dict:
     """What a memory run actually stepped: the step, the step count, the
-    delay in steps and the end time (a TransferResult or a DelayScan)."""
+    delay in steps and the end time (a TransferResult or a RunPlan)."""
     return {key: getattr(run, key) for key in ("step", "n_steps", "delay_steps", "tau_end")}
 
 
 def _cmd_memory_simulate(args):
     config = memory.TransferConfig.from_json(args.config)
-    profile = _profile_for(config)
     delayed = config.delta_f != 0.0 or config.delta_m != 0.0 or config.delta_c != 0.0
+    # the run is sized, or refused, before its profile is sampled
+    memory.plan_run(config, (1, 1) if delayed else ())
+    profile = _profile_for(config)
     run = memory.simulate_with_delay if delayed else memory.simulate_transfer
     res = run(config, profile)
     summary = {
@@ -319,8 +312,14 @@ def _cmd_memory_simulate(args):
 
 def _cmd_memory_optimize(args):
     config = memory.TransferConfig.from_json(args.config)
+    (dm0, dm_step, n_dm), (dc0, dc_step, n_dc) = _grid_ns(args.dm_grid), _grid_ns(args.dc_grid)
+    # the point counts size the scan, or refuse it, before its profile or grids are built
+    try:
+        memory.plan_run(config, (n_dm, n_dc))
+    except DomainError as exc:
+        raise DomainError(f"lag grid --dm-grid {args.dm_grid} x --dc-grid {args.dc_grid}: {exc}")
     profile = _profile_for(config)
-    dm_ns, dc_ns = _lag_grids(args.dm_grid, args.dc_grid)
+    dm_ns, dc_ns = dm0 + dm_step * np.arange(n_dm), dc0 + dc_step * np.arange(n_dc)
     scan = memory.optimize_delays(config, profile, dm_ns * 1e-9, dc_ns * 1e-9)
     # the chosen lags as the grid's own ns values, not a round trip through seconds
     i = int(np.argmax(scan.dm_grid == scan.delta_m))
@@ -329,7 +328,7 @@ def _cmd_memory_optimize(args):
         "delta_m_ns": float(dm_ns[i]),
         "delta_c_ns": float(dc_ns[j]),
         "fidelity": scan.fidelity,
-        **_steps(scan),
+        **_steps(scan.plan),
     }
     if not args.output:
         return summary, None

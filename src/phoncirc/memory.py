@@ -69,15 +69,19 @@ a block, one full-grid multiply-add each, and its block is min(n_sub - 1,
 256, max(1, 8192 // cells)) steps long, cells the size of the grid, so that
 a block's full-grid arrays stay in cache.
 
-A single cell's ring holds the whole run, its trajectory, from which its
-energy bookkeeping is summed once per chunk.  A run whose ring and chunk
-tables would pass 1 GiB is refused before anything is allocated; a lag
-grid's ring does not grow with the run, so a grid is also refused at the
-step count at which one of its cells would be, and a slope-capped profile
-is refused by its sample count before it is sampled.  The
-delay-free path stays real-valued.  :func:`single_excitation_oracle`
-provides an independent check of the transfer fidelity via a beam-splitter
-collision model in the single-excitation sector.
+A run's step, step count, block, chunk and ring are decided once, from the
+config and the cell shape alone, by :func:`plan_run`: its :class:`RunPlan`
+is what `_integrate` sizes the run from and what a :class:`DelayScan`
+reports.  The plan refuses, before any profile sample, lag grid or table is
+built, a bad step, then a step count that overflows, then a ring and chunk
+tables that would pass 1 GiB: first for one cell, whose ring holds the whole
+run, its trajectory, from which its energy bookkeeping is summed once per
+chunk, then for the grid, whose ring does not grow with the run.  A
+slope-capped profile is also refused by its sample count before it is
+sampled.  The delay-free path stays real-valued.
+:func:`single_excitation_oracle` provides an independent check of the
+transfer fidelity via a beam-splitter collision model in the
+single-excitation sector.
 """
 
 from __future__ import annotations
@@ -105,6 +109,8 @@ __all__ = [
     "TransferConfig",
     "TransferResult",
     "DelayScan",
+    "RunPlan",
+    "plan_run",
     "simulate_transfer",
     "simulate_with_delay",
     "optimize_delays",
@@ -384,11 +390,8 @@ class TransferResult:
 
 @dataclass(frozen=True)
 class DelayScan:
-    """Grid-search result over mirror/detuning clock lags (seconds).
-
-    Every cell ran the same `n_steps` steps of size `step`; `delay_steps` is
-    the mirror round trip in steps (0 without a delay).
-    """
+    """Grid-search result over mirror/detuning clock lags (seconds); every
+    cell ran the steps of `plan`."""
 
     delta_m: float
     delta_c: float
@@ -396,14 +399,7 @@ class DelayScan:
     dm_grid: np.ndarray
     dc_grid: np.ndarray
     fidelity_grid: np.ndarray  # shape (len(dm_grid), len(dc_grid))
-    step: float
-    n_steps: int
-    delay_steps: int
-
-    @property
-    def tau_end(self) -> float:
-        """Where the runs ended, n_steps * step, as in :class:`TransferResult`."""
-        return self.n_steps * self.step
+    plan: RunPlan
 
     def ridge(self):
         """Best delta_c per delta_m, without the rows whose optimum pins to
@@ -437,6 +433,8 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
     h0 = min(h0, lag / 20.0)
     if h0 < _MIN_STEP:
         raise IntegrationError(f"integration step underflow: h = {h0:.3g}")
+    if not math.isfinite(lag / h0):
+        raise DomainError(f"round trip {lag:.3g} over the step {h0:.3g} overflows its step count")
     n_sub = int(math.ceil(lag / h0 - 1e-12))
     return lag / n_sub, n_sub
 
@@ -464,9 +462,6 @@ def _delay_step(lag: float, step: float | None) -> tuple[float, int]:
 
 class _FreeTables:
     """Delay-free tables; real-valued, so the trajectory stays real."""
-
-    n_sub = 0
-    shape = ()
 
     def __init__(self, profile, rho: float, ki: float, h: float):
         self.theta, self.rho, self.ki, self.h = profile.theta, rho, ki, h
@@ -676,52 +671,58 @@ _SCAN_STEPS = 2048
 _SCAN_LOG_L = 600.0
 
 
-def _block_length(cells: int, n_sub: int) -> int:
-    """Steps per block: the history a block reads must already be stored.
-
-    A single cell's block is a prefix scan of `_SCAN_STEPS` steps.
-    """
-    block = _SCAN_STEPS if cells == 1 else min(256, max(1, _BLOCK_CELL_STEPS // cells))
-    return min(block, n_sub - 1) if n_sub else block
-
-
-def _step_bytes(shape: tuple) -> int:
-    """Table bytes per step: one full-grid plane (the zero-lag c) and about
-    `_LAG_TABLES` numbers per lag."""
-    return 16 * (math.prod(shape) + _LAG_TABLES * sum(shape))
-
-
-def _check_work(what: str, work: float = 0, cells: int = 0, slots: int = 5) -> None:
-    """Refuse, before it is allocated, `work` bytes and a ring of `slots`
-    states of 16 B per cell that together pass `_WORK_BYTES`.  A ring has
-    n_sub + block + 4 slots, so no run takes fewer than 5, and a lag grid can
-    be refused by its cell count before it is built."""
-    work += 16 * slots * cells
+def _check_work(what: str, work: float) -> None:
+    """Refuse, before it is allocated, `work` bytes past `_WORK_BYTES`."""
     if work > _WORK_BYTES:
         raise DomainError(f"{what} need about {work / 2**30:.3g} GiB, "
                           f"over the {_WORK_BYTES / 2**30:.3g} GiB work budget")
 
 
-def _run_size(shape: tuple, n_sub: int, n: int) -> tuple[int, int, int]:
-    """Steps per block, steps per table chunk and ring slots of an n-step run
-    over `shape`, refused when its ring and one chunk of tables pass the work
-    budget.  A one-cell ring holds the whole run."""
-    cells = math.prod(shape)
-    block = _block_length(cells, n_sub)
-    chunk = _chunk_length(shape, block)
-    slots = n_sub + block + 4 + (n if cells == 1 else 0)
-    _check_work(f"{cells} cells x {n:.3g} steps", min(chunk, n) * _step_bytes(shape),
-                cells, slots)
-    return block, chunk, slots
+@dataclass(frozen=True)
+class RunPlan:
+    """A memory run's steps and sizes, decided before anything is built.  `shape`
+    is () without a delay, (1, 1) for one delayed cell and (len(dm), len(dc))
+    for a lag grid; `delay_steps` is the round trip in steps (0 without one)."""
+
+    step: float
+    n_steps: int
+    delay_steps: int
+    shape: tuple
+    block: int
+    chunk: int
+    slots: int
+
+    @property
+    def tau_end(self) -> float:
+        """Where the run ends, n_steps * step: a delayed run whose step does
+        not divide the horizon ends up to one step past it."""
+        return self.n_steps * self.step
 
 
-def _chunk_length(shape: tuple, block: int) -> int:
-    """Steps per table chunk, a whole number of blocks.
+def plan_run(config: TransferConfig, shape: tuple, step: float | None = None) -> RunPlan:
+    """Plan the run of `config` over `shape`, or refuse it unallocated: a bad
+    step, then an overflowing step count, then a ring and one table chunk past
+    the work budget for one cell (a grid's ring does not grow with the run, a
+    cell's holds all of it), then for the grid.  A table chunk budgets one
+    full-grid plane and `_LAG_TABLES` numbers per lag and step."""
+    if 0 in shape:
+        raise DomainError("delay grids must be non-empty")
+    h, n_sub = _delay_step(config.kappa_e * config.delta_f if shape else 0.0, step)
+    n = _ode_step_count(config.horizon, h)
 
-    A chunk stays within `_CHUNK_BYTES` and `_CHUNK_STEPS`, so the tables do
-    not grow with the horizon.
-    """
-    return max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // _step_bytes(shape)) // block) * block
+    def size(shape):
+        cells = math.prod(shape)
+        block = _SCAN_STEPS if cells == 1 else min(256, max(1, _BLOCK_CELL_STEPS // cells))
+        block = min(block, n_sub - 1) if n_sub else block
+        step_bytes = 16 * (cells + _LAG_TABLES * sum(shape))
+        chunk = max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // step_bytes) // block) * block
+        slots = n_sub + block + 4 + (n if cells == 1 else 0)
+        _check_work(f"{' x '.join(map(str, shape)) if cells > 1 else 1} cells x {n:.3g} steps",
+                    min(chunk, n) * step_bytes + 16 * slots * cells)
+        return block, chunk, slots
+
+    size((1,) * len(shape))
+    return RunPlan(h, n, n_sub, shape, *size(shape))
 
 
 def _rk4_weights(c: np.ndarray, h: float):
@@ -794,22 +795,17 @@ def _scan(p: np.ndarray, q: np.ndarray, a0) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(tables, n: int):
-    """Run n RK4 steps of the tables' equation from A = 0, a block at a time.
+def _integrate(tables, plan: RunPlan):
+    """Run the plan's RK4 steps of the tables' equation from A = 0, a block at a time.
 
     Returns (fidelity |A|^2, ring, reflected, intrinsic); a one-cell ring holds
     the whole run, and its energy is summed per chunk (0 on a grid).  A
     fidelity or energy that is not finite (an unstable step overflowed) is
     refused as an IntegrationError, without numpy's overflow warnings.
     """
-    shape, n_sub = tables.shape, tables.n_sub
-    cells = math.prod(shape)
-    scalar = cells == 1
-    if not scalar:
-        # a grid's ring does not grow with the run, a cell's holds all of it:
-        # a grid is refused at the step count at which its cells would be
-        _run_size((1,) * len(shape), n_sub, n)
-    block, chunk, slots = _run_size(shape, n_sub, n)
+    shape, n_sub, n = plan.shape, plan.delay_steps, plan.n_steps
+    block, chunk, slots = plan.block, plan.chunk, plan.slots
+    scalar = math.prod(shape) == 1
     # zeroed, so history before tau = 0 (the slots past the stored steps) reads 0
     ring = np.zeros((slots,) + shape, dtype=complex)
     # the taps of a block, or of a one-cell chunk, where they wrap the ring
@@ -849,12 +845,13 @@ def _integrate(tables, n: int):
     return fidelity, ring, refl, intr
 
 
-def _transfer(tables, n: int) -> TransferResult:
+def _transfer(tables, plan: RunPlan) -> TransferResult:
     """Integrate one cell's tables into its fidelity, trajectory and losses."""
-    fidelity, ring, refl, intr = _integrate(tables, n)
-    return TransferResult(fidelity=fidelity.item(), tau=np.arange(n + 1) * tables.h,
+    fidelity, ring, refl, intr = _integrate(tables, plan)
+    n = plan.n_steps
+    return TransferResult(fidelity=fidelity.item(), tau=np.arange(n + 1) * plan.step,
                           amplitude=ring[:n + 1].ravel(), reflected_fraction=refl,
-                          intrinsic_fraction=intr, delay_steps=tables.n_sub)
+                          intrinsic_fraction=intr, delay_steps=plan.delay_steps)
 
 
 def simulate_transfer(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
@@ -863,18 +860,16 @@ def simulate_transfer(config: TransferConfig, profile, step: float | None = None
     `profile` is anything with a vectorizable ``theta(tau)`` (an
     :class:`OptimalProfile` or :class:`SampledProfile`).
     """
-    h, _ = _delay_step(0.0, step)
-    return _transfer(_FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e, h),
-                     _ode_step_count(config.horizon, h))
+    plan = plan_run(config, (), step)
+    return _transfer(_FreeTables(profile, config.ratio, config.kappa_i / config.kappa_e,
+                                 plan.step), plan)
 
 
-def _retarded(config: TransferConfig, profile, dm, dc, step: float | None):
-    """Retarded tables over lag grids dm, dc (seconds) and their step count."""
+def _retarded(config: TransferConfig, profile, plan: RunPlan, dm, dc):
+    """Retarded tables of a planned run over lag grids dm, dc (seconds)."""
     ke = config.kappa_e
-    lag = ke * config.delta_f
-    h, n_sub = _delay_step(lag, step)
-    return (_RetardedTables(profile, config.ratio, config.kappa_i / ke, lag, n_sub,
-                            ke * dm, ke * dc, h), _ode_step_count(config.horizon, h))
+    return _RetardedTables(profile, config.ratio, config.kappa_i / ke, ke * config.delta_f,
+                           plan.delay_steps, ke * dm, ke * dc, plan.step)
 
 
 def simulate_with_delay(config: TransferConfig, profile, step: float | None = None) -> TransferResult:
@@ -885,8 +880,9 @@ def simulate_with_delay(config: TransferConfig, profile, step: float | None = No
     the retarded master equation; cavity history before tau = 0 is zero.
     With all delays zero this reproduces :func:`simulate_transfer`.
     """
-    return _transfer(*_retarded(config, profile, np.array([config.delta_m]),
-                                np.array([config.delta_c]), step))
+    plan = plan_run(config, (1, 1), step)
+    return _transfer(_retarded(config, profile, plan, np.array([config.delta_m]),
+                               np.array([config.delta_c])), plan)
 
 
 def optimize_delays(config: TransferConfig, profile, dm_grid, dc_grid,
@@ -898,17 +894,15 @@ def optimize_delays(config: TransferConfig, profile, dm_grid, dc_grid,
     """
     dm = np.asarray(dm_grid, dtype=float)
     dc = np.asarray(dc_grid, dtype=float)
-    if dm.size == 0 or dc.size == 0:
-        raise DomainError("delay grids must be non-empty")
-    tables, n = _retarded(config, profile, dm, dc, step)
-    fid = _integrate(tables, n)[0]
+    plan = plan_run(config, (dm.size, dc.size), step)
+    fid = _integrate(_retarded(config, profile, plan, dm, dc), plan)[0]
     best = np.max(fid)
     ties = np.argwhere(fid == best)
     key = sorted((abs(dm[i]), abs(dc[j]), dm[i], dc[j], i, j) for i, j in ties)
     _, _, dm_best, dc_best, _, _ = key[0]
     return DelayScan(delta_m=float(dm_best), delta_c=float(dc_best),
                      fidelity=float(best), dm_grid=dm, dc_grid=dc,
-                     fidelity_grid=fid, step=tables.h, n_steps=n, delay_steps=tables.n_sub)
+                     fidelity_grid=fid, plan=plan)
 
 
 def single_excitation_oracle(config: TransferConfig, profile,

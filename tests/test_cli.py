@@ -294,6 +294,19 @@ def test_memory_lag_grid_over_work_budget_exits_2_unbuilt(tmp_path, capsys, monk
     assert "--dm-grid 0:2e4:1" in err and "20001 x 61 cells" in err and "work budget" in err
 
 
+def test_memory_simulate_over_work_budget_exits_2_unsampled(tmp_path, capsys, monkeypatch):
+    # the step count alone refuses the run: its 83 700 profile samples, which
+    # fit the budget, are never taken
+    monkeypatch.setattr(memory, "_WORK_BYTES", 8 << 20)
+    monkeypatch.setattr(memory, "discretize_profile",
+                        lambda *a, **k: pytest.fail("the profile was sampled"))
+    cfg = config_json(tmp_path, horizon=2800, slope_cap=23)
+    code, out, err = run_cli(capsys, ["memory", "simulate", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: DomainError") and err.count("\n") == 1
+    assert "1.4e+06 steps" in err and "work budget" in err
+
+
 # --- pmmi -----------------------------------------------------------------------
 
 def write_unitary_csv(path, u):
@@ -517,6 +530,11 @@ BAD_INPUTS = {
     "grid-horizon-steps-over-budget": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e200}',
                                        ["memory", "optimize", "--dm-grid", "0:2:1",
                                         "--dc-grid=-2:0:1", "--config"]),
+    # a round trip whose step count overflows
+    "config-round-trip-overflow": ('{"kappa_e_hz": 1e300, "r_hz": 1e299, "delta_f_ns": 1e20}',
+                                   ["memory", "simulate", "--config"]),
+    "grid-round-trip-overflow": ('{"kappa_e_hz": 1e300, "r_hz": 1e299, "delta_f_ns": 1e20}',
+                                 ["memory", "optimize", "--config"]),
     "config-profile-samples-over-budget": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "horizon": 1e200,'
                                            ' "slope_cap": 23}', ["memory", "simulate", "--config"]),
     "config-rate-nan": ('{"kappa_e_hz": 3e5, "r_hz": 1e5, "kappa_i_hz": NaN}',

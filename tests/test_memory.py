@@ -397,13 +397,10 @@ def test_scan_matches_per_cell_runs(monkeypatch, delta_f):
     prof = memory.optimal_profile(1 / 3)
     dm = np.linspace(0.0, 44.0, 12) * NS
     dc = np.linspace(-54.0, -6.0, 13) * NS
-    h, n_sub = memory._delay_step(KAPPA_E * delta_f, None)
-    n = memory._ode_step_count(cfg.horizon, h)
-    block = memory._block_length(dm.size * dc.size, n_sub)
-    chunk = memory._chunk_length((dm.size, dc.size), block)
-    assert block != memory._block_length(1, n_sub)
-    assert n > 2 * chunk
-    assert n % chunk != 0 and n % block != 0
+    grid = memory.plan_run(cfg, (dm.size, dc.size))
+    assert grid.block != memory.plan_run(cfg, (1, 1)).block
+    assert grid.n_steps > 2 * grid.chunk
+    assert grid.n_steps % grid.chunk != 0 and grid.n_steps % grid.block != 0
     scan = memory.optimize_delays(cfg, prof, dm, dc)
     cells = [[memory.simulate_with_delay(replace(cfg, delta_m=m, delta_c=c), prof).fidelity
               for c in dc] for m in dm]
@@ -435,27 +432,25 @@ def test_chunking_leaves_runs_unchanged(monkeypatch, run, blocks):
     # the energy is summed once per table chunk; with a chunk of one block
     # on a delayed run, the chunk is shorter than the delay and its history
     # taps all read the zeroed ring tail
-    free_block = memory._block_length(1, 0)
-    assert memory._chunk_length((1, 1), free_block) == free_block  # a chunk is one scan
+    free = memory.plan_run(config(), (1, 1))
+    assert free.chunk == free.block  # a chunk is one scan
     # the history-free paths scan in 60 ns blocks, so that 3.1 kappa_e^-1
     # spans several chunks; a 20 ns run keeps its own 19-step block
-    scan_block = memory._block_length(1, memory._delay_step(KAPPA_E * 60 * NS, None)[1])
+    scan_block = memory.plan_run(config(delta_f=60 * NS), (1, 1)).block
     monkeypatch.setattr(memory, "_SCAN_STEPS", scan_block)
     simulate, kw = CHUNKED_RUNS[run]
     cfg = config(horizon=3.1, **kw)
     prof = memory.optimal_profile(1 / 3)
     want = simulate(cfg, prof)
     shape = (7, 6) if simulate is scan_7x6 else (1, 1)
-    h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
-    block = memory._block_length(math.prod(shape), n_sub)
+    block = memory.plan_run(cfg, shape).block
     assert block == (19 if run == "delay-20ns" else scan_block)
     monkeypatch.setattr(memory, "_CHUNK_STEPS", blocks * block)
-    chunk = memory._chunk_length(shape, block)
-    assert chunk == blocks * block
-    n = memory._ode_step_count(cfg.horizon, h)
-    assert n > chunk and n % chunk != 0
-    if n_sub and blocks == 1:
-        assert chunk < n_sub
+    plan = memory.plan_run(cfg, shape)
+    assert plan.chunk == blocks * block
+    assert plan.n_steps > plan.chunk and plan.n_steps % plan.chunk != 0
+    if plan.delay_steps and blocks == 1:
+        assert plan.chunk < plan.delay_steps
     got = simulate(cfg, prof)
     if simulate is scan_7x6:
         assert np.array_equal(got.fidelity_grid, want.fidelity_grid)
@@ -479,11 +474,10 @@ def test_lag_grid_holds_one_lean_chunk():
         cfg = config(kappa_i=2 * math.pi, delta_f=60 * NS, horizon=horizon)
         dm, dc = np.linspace(0.0, 60.0, side) * NS, np.linspace(-60.0, 0.0, side) * NS
         cells = side * side
-        h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
-        block = memory._block_length(cells, n_sub)
-        chunk = memory._chunk_length((side, side), block)
-        assert memory._ode_step_count(cfg.horizon, h) > 4 * chunk
-        ring = 16 * cells * (n_sub + block + 4)
+        plan = memory.plan_run(cfg, (side, side))
+        block = plan.block
+        assert plan.n_steps > 4 * plan.chunk
+        ring = 16 * cells * (plan.delay_steps + block + 4)
         buffers = 16 * cells * (4 * block + block + 3)  # Q's factors, the tap window
         tracemalloc.start()
         try:
@@ -501,7 +495,7 @@ def test_chunk_budget_leaves_the_lag_grid_bitwise_equal(monkeypatch):
     dm, dc = np.arange(0.0, 61.0) * NS, np.arange(-60.0, 1.0) * NS
     want = memory.optimize_delays(cfg, prof, dm, dc).fidelity_grid
     monkeypatch.setattr(memory, "_CHUNK_BYTES", 1 << 24)
-    assert memory._chunk_length((61, 61), 2) == 184
+    assert memory.plan_run(cfg, (61, 61)).chunk == 184
     got = memory.optimize_delays(cfg, prof, dm, dc).fidelity_grid
     assert _same(got, want)
 
@@ -533,13 +527,15 @@ def test_block_scan_matches_the_step_recurrence(seed, log_p_min, n, block):
 def test_scan_reports_its_steps(delta_f, delay_steps):
     cfg = config(delta_f=delta_f, horizon=2.0)
     prof = memory.optimal_profile(1 / 3)
-    scan = memory.optimize_delays(cfg, prof, np.array([10.0, 20.0]) * NS,
-                                  np.array([-30.0, -20.0, -10.0]) * NS)
+    dm, dc = np.array([10.0, 20.0]) * NS, np.array([-30.0, -20.0, -10.0]) * NS
+    scan = memory.optimize_delays(cfg, prof, dm, dc)
     one = memory.simulate_with_delay(replace(cfg, delta_m=scan.delta_m, delta_c=scan.delta_c),
                                      prof)
-    assert scan.delay_steps == one.delay_steps == delay_steps
-    assert (scan.step, scan.n_steps, scan.tau_end) == (one.step, one.n_steps, one.tau_end)
-    assert scan.tau_end == scan.n_steps * scan.step >= cfg.horizon
+    plan = scan.plan
+    assert plan == memory.plan_run(cfg, (dm.size, dc.size))
+    assert plan.delay_steps == one.delay_steps == delay_steps
+    assert (plan.step, plan.n_steps, plan.tau_end) == (one.step, one.n_steps, one.tau_end)
+    assert plan.tau_end == plan.n_steps * plan.step >= cfg.horizon
 
 
 def test_optimize_rejects_empty_grid():
@@ -574,6 +570,37 @@ def test_work_budget_refuses_before_integrating(monkeypatch):
     with pytest.raises(DomainError) as grid:
         memory.optimize_delays(long, prof, small, small - 40 * NS)
     assert str(grid.value) == str(cell.value)
+
+
+# each config fails every check after its own: the plan refuses at the first.
+# A 20000 x 20000 grid is past the work budget at any step count.
+@pytest.mark.parametrize("kw, step, error, match", [
+    (dict(delta_f=1e303, horizon=1e308), -1.0, DomainError, "step must be positive"),
+    (dict(delta_f=1e303, horizon=1e308), 1e-9, IntegrationError, "step underflow"),
+    (dict(delta_f=1e303, horizon=1e308), None, DomainError, "round trip inf .* step count"),
+    (dict(delta_f=60 * NS, horizon=1e308), None, DomainError, "horizon 1e\\+308 .* step count"),
+    (dict(delta_f=60 * NS, horizon=1e200), None, DomainError, "^1 cells x .* work budget"),
+    (dict(delta_f=60 * NS, horizon=1.5), None, DomainError, "^20000 x 20000 cells x 756 steps"),
+], ids=["step", "step-underflow", "round-trip", "step-count", "cell-work", "grid-work"])
+def test_plan_refuses_in_order(kw, step, error, match):
+    with pytest.raises(error, match=match):
+        memory.plan_run(config(**kw), (20000, 20000), step)
+
+
+def test_plan_refuses_a_run_before_its_profile_is_sampled(monkeypatch):
+    # at an 8 MiB budget the 83 700 samples of a slope-capped profile to
+    # horizon 2800 fit, but the ring of its 1.4e6 steps does not: the plan,
+    # made from the config alone, refuses it without allocating
+    monkeypatch.setattr(memory, "_WORK_BYTES", 8 << 20)
+    cfg = config(horizon=2800.0, slope_cap=23.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^1 cells x 1.4e\\+06 steps .* work budget"):
+            memory.plan_run(cfg, ())
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused < 16 << 10
 
 
 # --- the SLH loop the memory equation models -------------------------------------------------

@@ -89,10 +89,11 @@ def test_long_delay_cuts_its_blocks_and_matches_reference():
     # is cut before its running product leaves e^-600
     cfg = config(kappa_i=1000 * KAPPA_E, delta_f=700 * NS, delta_m=233 * NS,
                  delta_c=-350 * NS, horizon=3.0)
-    tables, n = memory._retarded(cfg, optimal(), np.array([cfg.delta_m]),
-                                 np.array([cfg.delta_c]), None)
-    block = memory._block_length(1, tables.n_sub)
-    tables.load(0, 2 * n)
+    plan = memory.plan_run(cfg, (1, 1))
+    tables = memory._retarded(cfg, optimal(), plan, np.array([cfg.delta_m]),
+                              np.array([cfg.delta_c]))
+    block = plan.block
+    tables.load(0, 2 * plan.n_steps)
     assert block == 659 and memory._scan_length(tables.p, block) < block
     new = memory.simulate_with_delay(cfg, optimal())
     old = ref.simulate_with_delay(cfg, optimal())
@@ -130,10 +131,9 @@ def test_smallest_delay_uses_twenty_substeps():
 
 def test_partial_last_block_matches_reference():
     cfg = config(delta_f=60 * NS, delta_m=10 * NS, delta_c=-20 * NS, horizon=2.9)
-    h, n_sub = memory._delay_step(KAPPA_E * cfg.delta_f, None)
-    n = memory._ode_step_count(cfg.horizon, h)
-    assert n % memory._block_length(1, n_sub) != 0
-    assert n % memory._block_length(1, 0) != 0
+    plan = memory.plan_run(cfg, (1, 1))
+    assert plan.n_steps % plan.block != 0
+    assert plan.n_steps % memory.plan_run(cfg, ()).block != 0
     assert_same(memory.simulate_with_delay(cfg, capped()),
                 ref.simulate_with_delay(cfg, capped()))
     free = config(horizon=2.9)
